@@ -113,6 +113,19 @@ def test_regimes_command_csv(tmp_path):
     assert "ks_limit" in header and "ks_normal_half" in header
 
 
+def test_limit_command_writes_cdf_and_cf(tmp_path):
+    base = tmp_path / "lim"
+    code = cli.main(["limit", "--d", "4", "--lambda", "0", "--n", "2000",
+                     "--out", str(base)])
+    assert code == 0
+    cdf = np.loadtxt(f"{base}_cdf.csv", delimiter=",", skiprows=1)
+    cf = np.loadtxt(f"{base}_cf.csv", delimiter=",", skiprows=1)
+    F = cdf[:, 1]
+    assert np.all(np.diff(F) >= 0.0)
+    assert F[0] < 1e-3 and F[-1] > 1.0 - 1e-3
+    assert tuple(cf[0]) == (0.0, 1.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

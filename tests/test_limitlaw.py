@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
+    CF_BLOCK,
+    COS_HALF_WIDTH,
     cdf_via_inversion,
     characteristic_function,
     levy_density,
@@ -162,6 +164,14 @@ def test_cf_semigroup_in_rate():
     np.testing.assert_allclose(lb, 2.0 * la, rtol=1e-12)
 
 
+def test_cf_blocks_match_pointwise(spec4):
+    """A grid that crosses a block boundary gives the per-point values."""
+    t = np.linspace(0.0, 30.0, CF_BLOCK + 37)
+    blocked = log_characteristic_function(spec4, t)
+    single = np.array([log_characteristic_function(spec4, v) for v in t])
+    np.testing.assert_allclose(blocked, single, rtol=1e-14, atol=0.0)
+
+
 def test_cf_modulus_decays(spec4):
     t = np.array([1.0, 4.0, 16.0])
     mods = np.abs(characteristic_function(spec4, t))
@@ -193,6 +203,35 @@ def test_cdf_inversion_median_negative(spec4):
 def test_cdf_inversion_rejects_unsorted(spec4):
     with pytest.raises(DomainError):
         cdf_via_inversion(spec4, np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        cdf_via_inversion(spec4, np.array([0.0, 1.0]), n_t=0)
+
+
+@pytest.mark.parametrize("d, lam", [(4, 0.0), (5, 0.3), (6, 0.0), (8, 0.5)])
+def test_cdf_moments_match_closed_form_cumulants(d, lam):
+    """Mean 0 and variance k2 from F alone; F is 0 and 1 far outside [a, b].
+
+    By parts on [a, b]: E Z = b - int F and E Z^2 = b^2 - 2 int x F.  At
+    (8, 0.5) a fixed 256-term series is off by ~1e-8 in F, so this case
+    pins the term count to the CF truncation point.
+    """
+    spec = limit_law_spec(d, lam)
+    k2 = limit_cumulant(spec, 2)
+    b = COS_HALF_WIDTH * math.sqrt(k2 + math.sqrt(limit_cumulant(spec, 4)))
+    x = np.linspace(-b, b, 20001)
+    F = cdf_via_inversion(spec, x)
+    mean = b - simpson(F, x=x)
+    var = b * b - 2.0 * simpson(x * F, x=x) - mean * mean
+    assert abs(mean) <= 1e-8 * k2
+    assert abs(var - k2) <= 1e-8 * k2
+    far = cdf_via_inversion(spec, np.array([-3.0 * b, -2.0 * b, 2.0 * b, 3.0 * b]))
+    np.testing.assert_array_equal(far, [0.0, 0.0, 1.0, 1.0])
+
+
+def test_cdf_explicit_term_count_agrees_with_default(spec4):
+    x = np.linspace(-8.0, 14.0, 201)
+    np.testing.assert_allclose(cdf_via_inversion(spec4, x, n_t=2048),
+                               cdf_via_inversion(spec4, x), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
