@@ -17,7 +17,7 @@ COMMANDS = ("sample", "crofton", "variance", "cumulants", "limit", "regimes",
             "render")
 
 CONFIG_KEYS = {"d": int, "lambda": float, "R": str, "n": int, "seed": int,
-               "multiplier": float, "out": str, "threads": int}
+               "multiplier": float, "out": str}
 
 
 @dataclass
@@ -30,7 +30,6 @@ class ExperimentConfig:
     n_replicates: int = 1000
     seed: int = 0
     output_path: str = ""
-    threads: int = 1
 
 
 class UsageError(Exception):
@@ -72,7 +71,7 @@ def _read_config_file(path):
 
 def parse_config(argv) -> ExperimentConfig:
     """Flags override config-file values; file keys are d, lambda, R, n,
-    seed, multiplier, out, threads."""
+    seed, multiplier, out."""
     parser = argparse.ArgumentParser(prog="hypfluct", add_help=True)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--d", type=int)
@@ -82,7 +81,6 @@ def parse_config(argv) -> ExperimentConfig:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--multiplier", type=float)
     parser.add_argument("--out", type=str)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--config", type=str)
     try:
         args = parser.parse_args(argv)
@@ -106,7 +104,6 @@ def parse_config(argv) -> ExperimentConfig:
     cfg.seed = pick(args.seed, "seed", cfg.seed)
     cfg.multiplier = pick(args.multiplier, "multiplier", cfg.multiplier)
     cfg.output_path = pick(args.out, "out", "")
-    cfg.threads = pick(args.threads, "threads", cfg.threads)
     if cfg.n_replicates < 1:
         raise UsageError("n must be >= 1")
     if not 0.0 <= cfg.lam <= 1.0:

@@ -43,13 +43,8 @@ class SurfaceResult:
 
 def _batch_volumes(config: ModelConfig, s: np.ndarray) -> np.ndarray:
     geom = config.geometry
-    if geom.is_horospheric or config.d <= 5:
-        return kernels.section_volumes(s, config.R, config.d, geom.lam,
-                                       geom.mu, geom.delta,
-                                       ball_kappa(config.d - 1))
-    # d >= 6, lambda < 1: per-point log-space quadrature (slow path)
-    return np.array([math.exp(lv) if (lv := log_intersection_volume(config, si))
-                     > -math.inf else 0.0 for si in s])
+    return kernels.section_volumes(s, config.R, config.d, geom.lam, geom.mu,
+                                   geom.delta, ball_kappa(config.d - 1))
 
 
 def total_surface_area(sample) -> SurfaceResult:

@@ -1,192 +1,112 @@
 """Hot numeric kernels: batch section volumes and per-replicate sums.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback.  Selection happens once at import time; set the environment
-variable ``HYPFLUCT_NO_NUMBA=1`` to force the numpy path (used by the
-benchmark and as a safety hatch on platforms without a working numba).
+Pure numpy, in blocks of BLOCK points.  The section volume is
+omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
+n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), which has no
+cancellation at the edge |s| -> R:
 
-The batch kernels evaluate the closed-form section volumes directly in
-linear space, which is fine for the Monte Carlo radii (R <= ~300).  The
-overflow-safe log-space scalar path lives in :mod:`hypfluct.hyperbolic`.
+* odd n: a polynomial in x with positive coefficients, exact up to rounding;
+* n = 0: rho = log1p(x + sqrt(x (x + 2)));
+* even n >= 2: the reduction J_k = sinh^{k-1} cosh / k - (k-1)/k J_{k-2},
+  replaced below x = SERIES_CUTOFF (0.25) by a binomial series whose dropped
+  tail is below 1.5e-17 relative.
+
+Measured against 50-digit mpmath, the relative error of J_n is at most
+1.2e-15 for n <= 4, 3.0e-15 at n = 6 and 1.1e-14 at n = 10.  The kernels
+work in linear space, which is fine while the volume, of order e^{(d-2)R},
+stays in float range ((d - 2) R < ~700); the overflow-safe log-space scalar
+path of the same closed form is
+:func:`hypfluct.hyperbolic.log_sinh_power_integral`.  Segment sums use
+``np.add.reduceat``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("HYPFLUCT_NO_NUMBA", "").strip() not in ("1", "true", "yes")
+from .hyperbolic import (
+    SERIES_CUTOFF,
+    even_series_coefficients,
+    horner,
+    odd_power_coefficients,
+)
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-TWO_PI = 2.0 * math.pi
+# Points per block: the arrays of one block stay in cache.
+BLOCK = 8192
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def _sinh_power_integral(n, x):
+    """J_n = int_0^rho sinh^n for an array of x = cosh rho - 1 >= 0."""
+    m, odd = divmod(n, 2)
+    if odd:
+        return x ** (m + 1) * horner(odd_power_coefficients(m), x)
+    if n == 0:
+        return np.log1p(x + np.sqrt(x * (x + 2.0)))
+    # the reduction formula and the series both on the whole block; the series
+    # replaces the reduction below the cut-off, where the latter cancels
+    sh = np.sqrt(x * (x + 2.0))
+    out = np.log1p(x + sh)
+    p = sh * (1.0 + x)                # sinh^{k-1} cosh, from k = 2
+    sh2 = sh * sh
+    for k in range(2, n + 1, 2):
+        out *= (1.0 - k) / k
+        out += p / k
+        p *= sh2
+    xs = np.minimum(x, SERIES_CUTOFF)
+    series = horner(even_series_coefficients(m), xs)
+    series *= np.sqrt(xs)
+    series *= xs ** m
+    np.copyto(out, series, where=x < SERIES_CUTOFF)
+    return out
 
-def _section_volumes_np(s, R, d, lam, mu, delta, kappa_dm1):
-    """Closed-form section volumes for an array of signed distances.
 
-    lambda < 1 supports d in {2,3,4,5}; lambda = 1 supports any d.
-    """
-    s = np.asarray(s, dtype=np.float64)
+def _section_volumes_block(s, R, d, lam, mu, delta, kappa_dm1):
     if lam == 1.0:
-        arg = 2.0 * np.exp(s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0)
+        arg = 2.0 * np.exp(s) * np.maximum(math.cosh(R) - np.cosh(s), 0.0)
         return kappa_dm1 * arg ** (0.5 * (d - 1))
-    u = s - delta
-    q = (mu * np.cosh(R) - lam * np.sinh(u)) / np.cosh(u)
-    q = np.maximum(q, 1.0)
-    if d == 2:
-        rho = np.arccosh(q)
-        return (2.0 / mu) * rho
-    if d == 3:
-        return (TWO_PI / mu) * (np.cosh(R) - np.cosh(s)).clip(min=0.0) / np.cosh(u)
-    if d == 4:
-        rho = np.arccosh(q)
-        sh = np.sqrt(np.maximum(q * q - 1.0, 0.0))
-        return (TWO_PI / mu ** 3) * (q * sh - rho)
-    if d == 5:
-        return (2.0 * math.pi ** 2 / (3.0 * mu ** 4)) * (q - 1.0) ** 2 * (q + 2.0)
-    raise ValueError("batch kernel supports d <= 5 for lambda < 1")
+    # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), no cancellation
+    x = np.maximum(mu * (math.cosh(R) - np.cosh(s)) / np.cosh(s - delta), 0.0)
+    # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
+    return ((d - 1) * kappa_dm1 / mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
 
 
-def _signed_sums_np(vol, s, offsets):
+def section_volumes(s, R, d, lam, mu, delta, kappa_dm1):
+    """Closed-form (d-1)-volumes of the sections H(s) cap B_R^d, any d >= 2."""
+    s = np.asarray(s, dtype=np.float64)
+    flat = s.reshape(-1)
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, BLOCK):
+        out[i:i + BLOCK] = _section_volumes_block(flat[i:i + BLOCK], R, d, lam, mu,
+                                                  delta, kappa_dm1)
+    return out.reshape(s.shape)
+
+
+def _segment_sums(values, offsets):
+    """Sums of values[offsets[i]:offsets[i+1]]; 0 for an empty segment."""
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts = offsets[:-1]
+    out = np.zeros(starts.size)
+    nonempty = offsets[1:] > starts
+    if nonempty.any():
+        # the nonempty segments tile values[starts[0]:offsets[-1]]
+        out[nonempty] = np.add.reduceat(values[:offsets[-1]], starts[nonempty])
+    return out
+
+
+def signed_sums(vol, s, offsets):
     """Per-replicate sums of vol, split by sign of s (s >= 0 counts positive).
 
     offsets[i] is the start index of replicate i; offsets[-1] == len(vol).
     """
-    pos_mask = s >= 0.0
-    n_rep = len(offsets) - 1
-    pos = np.zeros(n_rep)
-    neg = np.zeros(n_rep)
-    starts = offsets[:-1]
-    cs_pos = np.concatenate(([0.0], np.cumsum(vol * pos_mask)))
-    cs_neg = np.concatenate(([0.0], np.cumsum(vol * (~pos_mask))))
-    pos = cs_pos[offsets[1:]] - cs_pos[starts]
-    neg = cs_neg[offsets[1:]] - cs_neg[starts]
-    return pos, neg
-
-
-def _zeta_increment_sums_np(h_vals, offsets):
-    """Per-draw sums of jump sizes h over contiguous segments."""
-    cs = np.concatenate(([0.0], np.cumsum(h_vals)))
-    return cs[offsets[1:]] - cs[offsets[:-1]]
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _section_volumes_nb(s, R, d, lam, mu, delta, kappa_dm1):
-        n = s.shape[0]
-        out = np.empty(n)
-        cosh_R = math.cosh(R)
-        if lam == 1.0:
-            half = 0.5 * (d - 1)
-            for i in range(n):
-                arg = 2.0 * math.exp(s[i]) * (cosh_R - math.cosh(s[i]))
-                out[i] = kappa_dm1 * arg ** half if arg > 0.0 else 0.0
-            return out
-        for i in range(n):
-            u = s[i] - delta
-            q = (mu * cosh_R - lam * math.sinh(u)) / math.cosh(u)
-            if q < 1.0:
-                q = 1.0
-            if d == 2:
-                out[i] = (2.0 / mu) * math.log(q + math.sqrt(q * q - 1.0))
-            elif d == 3:
-                diff = cosh_R - math.cosh(s[i])
-                out[i] = (TWO_PI / mu) * (diff if diff > 0.0 else 0.0) / math.cosh(u)
-            elif d == 4:
-                sh = math.sqrt(q * q - 1.0)
-                rho = math.log(q + sh)
-                out[i] = (TWO_PI / mu ** 3) * (q * sh - rho)
-            elif d == 5:
-                out[i] = (2.0 * math.pi ** 2 / (3.0 * mu ** 4)) * (q - 1.0) ** 2 * (q + 2.0)
-            else:
-                out[i] = math.nan
-        return out
-
-    @njit(cache=True)
-    def _signed_sums_nb(vol, s, offsets):
-        n_rep = offsets.shape[0] - 1
-        pos = np.zeros(n_rep)
-        neg = np.zeros(n_rep)
-        for r in range(n_rep):
-            # Kahan accumulation: many terms spanning several e-folds
-            sp = 0.0
-            cp = 0.0
-            sn = 0.0
-            cn = 0.0
-            for i in range(offsets[r], offsets[r + 1]):
-                if s[i] >= 0.0:
-                    y = vol[i] - cp
-                    t = sp + y
-                    cp = (t - sp) - y
-                    sp = t
-                else:
-                    y = vol[i] - cn
-                    t = sn + y
-                    cn = (t - sn) - y
-                    sn = t
-            pos[r] = sp
-            neg[r] = sn
-        return pos, neg
-
-    @njit(cache=True)
-    def _zeta_increment_sums_nb(h_vals, offsets):
-        n = offsets.shape[0] - 1
-        out = np.empty(n)
-        for r in range(n):
-            acc = 0.0
-            c = 0.0
-            for i in range(offsets[r], offsets[r + 1]):
-                y = h_vals[i] - c
-                t = acc + y
-                c = (t - acc) - y
-                acc = t
-            out[r] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def section_volumes(s, R, d, lam, mu, delta, kappa_dm1):
-    s = np.ascontiguousarray(s, dtype=np.float64)
-    if USE_NUMBA and (lam == 1.0 or d <= 5):
-        return _section_volumes_nb(s, float(R), d, float(lam), float(mu),
-                                   float(delta) if math.isfinite(delta) else 0.0,
-                                   float(kappa_dm1))
-    return _section_volumes_np(s, float(R), d, float(lam), float(mu),
-                               float(delta) if math.isfinite(delta) else 0.0,
-                               float(kappa_dm1))
-
-
-def signed_sums(vol, s, offsets):
-    vol = np.ascontiguousarray(vol, dtype=np.float64)
-    s = np.ascontiguousarray(s, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if USE_NUMBA:
-        return _signed_sums_nb(vol, s, offsets)
-    return _signed_sums_np(vol, s, offsets)
+    vol = np.asarray(vol, dtype=np.float64)
+    pos_mask = np.asarray(s) >= 0.0
+    return (_segment_sums(np.where(pos_mask, vol, 0.0), offsets),
+            _segment_sums(np.where(pos_mask, 0.0, vol), offsets))
 
 
 def zeta_increment_sums(h_vals, offsets):
-    h_vals = np.ascontiguousarray(h_vals, dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if USE_NUMBA:
-        return _zeta_increment_sums_nb(h_vals, offsets)
-    return _zeta_increment_sums_np(h_vals, offsets)
+    """Per-draw sums of jump sizes h over contiguous segments."""
+    return _segment_sums(h_vals, offsets)

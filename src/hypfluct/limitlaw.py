@@ -187,8 +187,8 @@ def log_characteristic_function(spec: LimitLawSpec, t):
     vals = np.empty(t_arr.size, dtype=np.complex128)
     for i in range(0, t_arr.size, CF_BLOCK):
         vals[i:i + CF_BLOCK] = _compensated_cis(np.outer(t_arr[i:i + CF_BLOCK], h)) @ wd
-    out = spec.rate * vals
-    return out if np.ndim(t) else complex(out[0])
+    out = spec.rate * vals.reshape(np.shape(t))
+    return out if np.ndim(t) else complex(out)
 
 
 def characteristic_function(spec: LimitLawSpec, t):

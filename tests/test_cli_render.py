@@ -53,6 +53,15 @@ def test_config_file_unknown_key(tmp_path):
         parse_config(["crofton", "--config", str(path)])
 
 
+def test_threads_option_is_gone(tmp_path):
+    with pytest.raises(UsageError):
+        parse_config(["crofton", "--threads", "2"])
+    path = tmp_path / "exp.cfg"
+    path.write_text("threads = 2\n")
+    with pytest.raises(UsageError, match="unknown key 'threads'"):
+        parse_config(["crofton", "--config", str(path)])
+
+
 def test_config_file_malformed_value(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("d = three\n")

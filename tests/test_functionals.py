@@ -11,7 +11,13 @@ import pytest
 
 from hypfluct.errors import DomainError
 from hypfluct.hyperbolic import ModelConfig, ball_volume, lambda_geometry
-from hypfluct.sampling import sample_process
+from hypfluct.sampling import (
+    ProcessSample,
+    inverse_cdf,
+    make_rng,
+    mean_count,
+    sample_process,
+)
 from hypfluct.functionals import (
     berry_esseen_indicator,
     cosh_power_integral,
@@ -27,7 +33,7 @@ from hypfluct.functionals import (
     write_cumulant_csv,
     write_surface_csv,
 )
-from hypfluct.hyperbolic import intersection_volume_bound
+from hypfluct.hyperbolic import intersection_volume, intersection_volume_bound
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +55,6 @@ def test_total_surface_area_sign_split():
         result.positive_part + result.negative_part, rel=1e-15)
     assert result.positive_part > 0.0 and result.negative_part > 0.0
     # exact split: recompute from the definition
-    from hypfluct.hyperbolic import intersection_volume
     pos = math.fsum(intersection_volume(config, float(s))
                     for s in sample.s if s >= 0.0)
     assert result.positive_part == pytest.approx(pos, rel=1e-10)
@@ -245,6 +250,29 @@ def test_simulate_surface_agrees_with_per_replicate_path():
                                                        with_directions=False)).value
                      for i in range(4000)])
     assert abs(S.mean() - loop.mean()) < 5.0 * math.sqrt(2.0 * variance(config) / 4000.0)
+
+
+def test_simulate_surface_d6_matches_per_replicate_sums():
+    """d = 6 batch volumes against the same points summed replicate by replicate.
+
+    The points are redrawn from the stream simulate_surface uses for its first
+    batch; each replicate is summed by total_surface_area and, independently
+    of the batch kernel, by fsum of the log-space scalar section volumes.
+    """
+    config = ModelConfig(d=6, lam=0.3, R=2.5)
+    n, seed = 4, 9
+    S, Sp, Sn = simulate_surface(config, n, seed=seed)
+    rng = make_rng(seed, 0)
+    counts = rng.poisson(mean_count(config), size=n)
+    s_all = inverse_cdf(config, rng.random(int(counts.sum())))
+    for i, s in enumerate(np.split(s_all, np.cumsum(counts)[:-1])):
+        sample = ProcessSample(config=config, s=s, u=None, seed=seed,
+                               replicate_index=i)
+        result = total_surface_area(sample)
+        assert Sp[i] == pytest.approx(result.positive_part, rel=1e-13)
+        assert Sn[i] == pytest.approx(result.negative_part, rel=1e-13)
+        scalar = math.fsum(intersection_volume(config, float(v)) for v in s)
+        assert S[i] == pytest.approx(scalar, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

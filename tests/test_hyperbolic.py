@@ -24,6 +24,7 @@ from hypfluct.hyperbolic import (
     lambda_geometry,
     log_ball_volume,
     log_intersection_volume,
+    log_sinh_power_integral,
     logcosh,
     logsinh,
     rho,
@@ -93,6 +94,8 @@ def test_ball_volume_frozen_values():
     assert ball_volume(3, 2.0) == pytest.approx(73.167432769211135, rel=1e-13)
     assert ball_volume(4, 3.0) == pytest.approx(6528.6332118215068, rel=1e-11)
     assert ball_volume(5, 2.0) == pytest.approx(1066.0484491146749, rel=1e-11)
+    assert ball_volume(6, 2.0) == pytest.approx(3673.3571635434934576, rel=1e-13)
+    assert ball_volume(8, 1.5) == pytest.approx(806.84967256489750542, rel=1e-13)
 
 
 def test_ball_volume_closed_forms():
@@ -118,6 +121,42 @@ def test_log_ball_volume_finite_at_huge_radius():
         # leading order (d-1) R + log(omega_d / (2^{d-1} (d-1)))
         lead = (d - 1) * 700.0 + math.log(sphere_area(d) / (2.0 ** (d - 1) * (d - 1)))
         assert lv == pytest.approx(lead, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_log_sinh_power_integral_against_mpmath(n):
+    """J_n = int_0^rho sinh^n to 1e-13 against 50-digit mpmath.
+
+    The oracle is the hypergeometric form
+    J_n = sinh^{n+1} rho / (n+1) 2F1(1/2, (n+1)/2; (n+3)/2; -sinh^2 rho),
+    which has no cancellation and shares nothing with the series, the
+    polynomial or the reduction formula of the code.  The radii cover the
+    old n = 2, rho < 0.1 branch and both sides of the even-n series cut-off
+    at rho = arcosh(1.25) = log 2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for rho_val in (1e-6, 1e-3, 0.05, 0.5, 0.69, 0.7, 3.0, 30.0, 700.0):
+            sh = mpmath.sinh(mpmath.mpf(rho_val))
+            exact = (sh ** (n + 1) / (n + 1)
+                     * mpmath.hyp2f1(0.5, mpmath.mpf(n + 1) / 2,
+                                     mpmath.mpf(n + 3) / 2, -sh ** 2))
+            log_exact = float(mpmath.log(exact))
+            # relative 1e-13 in J_n, plus the rounding of log J_n itself
+            # (one ulp of log J_7(700) = 4893.2 is 9e-13)
+            tol = 1e-13 + 4.0 * math.ulp(abs(log_exact))
+            got = log_sinh_power_integral(n, rho_val)
+            assert abs(got - log_exact) <= tol, (n, rho_val, got - log_exact)
+
+
+def test_log_sinh_power_integral_edges():
+    assert log_sinh_power_integral(3, 0.0) == -math.inf
+    with pytest.raises(DomainError):
+        log_sinh_power_integral(2, -1.0)
+    # the reduction tends to the leading term (n-1) logsinh + logcosh - log n
+    for n in (2, 5, 12, 40):
+        lead = (n - 1) * logsinh(60.0) + logcosh(60.0) - math.log(n)
+        assert log_sinh_power_integral(n, 60.0) == pytest.approx(lead, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

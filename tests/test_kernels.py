@@ -1,4 +1,4 @@
-"""Kernel dispatch: numba and numpy paths must agree bit-for-bit-ish."""
+"""Batch kernels: closed-form section volumes and segment sums."""
 
 import math
 
@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from hypfluct import kernels
-from hypfluct.hyperbolic import ModelConfig, intersection_volume
-
-needs_numba = pytest.mark.skipif(not kernels.USE_NUMBA,
-                                 reason="numba path disabled")
+from hypfluct.hyperbolic import ModelConfig, ball_kappa, intersection_volume
 
 
 def _random_inputs(seed, d, lam, R=4.0, n=5000):
@@ -20,13 +17,11 @@ def _random_inputs(seed, d, lam, R=4.0, n=5000):
     return s, mu, delta
 
 
-@pytest.mark.parametrize("d,lam", [(2, 0.0), (3, 0.5), (4, 0.0), (5, 0.9),
-                                   (3, 1.0), (6, 1.0)])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("d", range(2, 9))
 def test_section_volumes_match_scalar_path(d, lam):
     config = ModelConfig(d=d, lam=lam, R=4.0)
-    geom = config.geometry
     s, mu, delta = _random_inputs(0, d, lam)
-    from hypfluct.hyperbolic import ball_kappa
     vols = kernels.section_volumes(s, 4.0, d, lam, mu, delta, ball_kappa(d - 1))
     # spot-check 50 points against the log-space scalar evaluation
     for i in range(0, len(s), 100):
@@ -34,16 +29,30 @@ def test_section_volumes_match_scalar_path(d, lam):
         assert vols[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-@needs_numba
-@pytest.mark.parametrize("d,lam", [(2, 0.0), (3, 0.5), (4, 0.0), (5, 0.9), (4, 1.0)])
-def test_numba_and_numpy_volumes_agree(d, lam):
-    s, mu, delta = _random_inputs(1, d, lam)
-    from hypfluct.hyperbolic import ball_kappa
-    kappa = ball_kappa(d - 1)
-    dl = delta if math.isfinite(delta) else 0.0
-    a = kernels._section_volumes_nb(np.ascontiguousarray(s), 4.0, d, lam, mu, dl, kappa)
-    b = kernels._section_volumes_np(s, 4.0, d, lam, mu, dl, kappa)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_section_volumes_continuous_across_series_cutoff(d):
+    """The even-n series and the reduction formula meet at x = SERIES_CUTOFF."""
+    lam, R = 0.3, 3.0
+    config = ModelConfig(d=d, lam=lam, R=R)
+    geom = config.geometry
+    # s with x = mu (cosh R - cosh s) / cosh(s - delta) just either side of 0.25
+    s = np.linspace(2.70, 2.85, 4001)
+    x = geom.mu * (math.cosh(R) - np.cosh(s)) / np.cosh(s - geom.delta)
+    assert x.min() < 0.25 < x.max()
+    vols = kernels.section_volumes(s, R, d, lam, geom.mu, geom.delta, ball_kappa(d - 1))
+    for i in np.flatnonzero(np.abs(x - 0.25) < 2e-3):
+        assert vols[i] == pytest.approx(intersection_volume(config, float(s[i])),
+                                        rel=1e-12)
+
+
+def test_section_volumes_keep_shape_and_empty_input():
+    s, mu, delta = _random_inputs(1, 4, 0.5, n=6)
+    kappa = ball_kappa(3)
+    flat = kernels.section_volumes(s, 4.0, 4, 0.5, mu, delta, kappa)
+    grid = kernels.section_volumes(s.reshape(2, 3), 4.0, 4, 0.5, mu, delta, kappa)
+    np.testing.assert_array_equal(grid, flat.reshape(2, 3))
+    empty = kernels.section_volumes(np.empty(0), 4.0, 4, 0.5, mu, delta, kappa)
+    assert empty.shape == (0,)
 
 
 def test_signed_sums_against_fsum():
@@ -60,66 +69,43 @@ def test_signed_sums_against_fsum():
             math.fsum(vol[seg][s[seg] < 0.0]), rel=1e-13, abs=1e-13)
 
 
-@needs_numba
-def test_signed_sums_numba_numpy_agree():
-    rng = np.random.default_rng(3)
-    vol = rng.exponential(size=20000)
-    s = rng.uniform(-1.0, 1.0, size=20000)
-    offsets = np.sort(rng.choice(20001, size=30, replace=False)).astype(np.int64)
-    offsets[0], offsets[-1] = 0, 20000
-    a = kernels._signed_sums_nb(vol, s, offsets)
-    b = kernels._signed_sums_np(vol, s, offsets)
-    np.testing.assert_allclose(a[0], b[0], rtol=1e-11)
-    np.testing.assert_allclose(a[1], b[1], rtol=1e-11)
+def test_signed_sums_large_batch_with_empty_segments():
+    """2e7 points in 256 replicates, like a d=3, lambda=1, R=6 batch."""
+    rng = np.random.default_rng(7)
+    counts = rng.poisson(81_000, size=256)
+    counts[[0, 1, 100, 254, 255]] = 0          # empty leading, middle, trailing
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    n = int(offsets[-1])
+    vol = rng.exponential(size=n) * np.exp(rng.uniform(0.0, 6.0, size=n))
+    s = rng.uniform(-1.0, 1.0, size=n)
+    pos, neg = kernels.signed_sums(vol, s, offsets)
+    assert pos.shape == neg.shape == (256,)
+    for r in range(256):
+        seg = slice(offsets[r], offsets[r + 1])
+        v, sr = vol[seg], s[seg]
+        exp_pos = math.fsum(v[sr >= 0.0])
+        exp_neg = math.fsum(v[sr < 0.0])
+        if counts[r] == 0:
+            assert pos[r] == 0.0 and neg[r] == 0.0
+        assert pos[r] == pytest.approx(exp_pos, rel=1e-14, abs=0.0)
+        assert neg[r] == pytest.approx(exp_neg, rel=1e-14, abs=0.0)
+
+
+def test_segment_sums_empty_batch():
+    offsets = np.zeros(4, dtype=np.int64)
+    pos, neg = kernels.signed_sums(np.empty(0), np.empty(0), offsets)
+    np.testing.assert_array_equal(pos, np.zeros(3))
+    np.testing.assert_array_equal(neg, np.zeros(3))
+    np.testing.assert_array_equal(kernels.zeta_increment_sums(np.empty(0), offsets),
+                                  np.zeros(3))
+    assert kernels.zeta_increment_sums(np.empty(0), np.zeros(1, np.int64)).shape == (0,)
 
 
 def test_zeta_increment_sums_against_fsum():
     rng = np.random.default_rng(4)
     h = rng.random(size=500)
-    offsets = np.array([0, 0, 200, 500], dtype=np.int64)
+    offsets = np.array([0, 0, 200, 500, 500], dtype=np.int64)
     sums = kernels.zeta_increment_sums(h, offsets)
-    assert sums[0] == 0.0
+    assert sums[0] == 0.0 and sums[3] == 0.0
     assert sums[1] == pytest.approx(math.fsum(h[:200]), rel=1e-13)
     assert sums[2] == pytest.approx(math.fsum(h[200:]), rel=1e-13)
-
-
-@needs_numba
-def test_zeta_increment_sums_numba_numpy_agree():
-    rng = np.random.default_rng(5)
-    h = rng.random(size=30000)
-    offsets = np.linspace(0, 30000, 16).astype(np.int64)
-    a = kernels._zeta_increment_sums_nb(h, offsets)
-    b = kernels._zeta_increment_sums_np(h, offsets)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_numpy_fallback_env_flag():
-    """The env flag must force the numpy path in a fresh interpreter.
-
-    The child inherits the parent environment, with the directory holding
-    the imported package put first on ``PYTHONPATH`` so that it imports the
-    same ``hypfluct`` whether or not the package is installed.  Without the
-    flag the child must select numba exactly when numba is importable.
-    """
-    import importlib.util
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    package_root = str(Path(kernels.__file__).resolve().parents[1])
-    base_env = dict(os.environ)
-    base_env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, base_env.get("PYTHONPATH")) if p)
-    base_env.pop("HYPFLUCT_NO_NUMBA", None)
-    code = "import hypfluct.kernels as k; print(k.USE_NUMBA)"
-
-    def child_use_numba(env):
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert child_use_numba({**base_env, "HYPFLUCT_NO_NUMBA": "1"}) == "False"
-    has_numba = importlib.util.find_spec("numba") is not None
-    assert child_use_numba(base_env) == str(has_numba)

@@ -172,6 +172,16 @@ def test_cf_blocks_match_pointwise(spec4):
     np.testing.assert_allclose(blocked, single, rtol=1e-14, atol=0.0)
 
 
+def test_cf_keeps_the_shape_of_t(spec4):
+    """A (2, 3) grid of t gives a (2, 3) result equal to per-point values."""
+    t = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    for fn in (log_characteristic_function, characteristic_function):
+        grid = fn(spec4, t)
+        assert grid.shape == (2, 3)
+        single = np.array([[fn(spec4, v) for v in row] for row in t])
+        np.testing.assert_allclose(grid, single, rtol=1e-14, atol=0.0)
+
+
 def test_cf_modulus_decays(spec4):
     t = np.array([1.0, 4.0, 16.0])
     mods = np.abs(characteristic_function(spec4, t))
