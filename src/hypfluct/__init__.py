@@ -50,7 +50,6 @@ from .limitlaw import (
     sample_limit,
 )
 from .stats import (
-    EmpiricalSummary,
     k_statistics,
     ks_distance,
     ks_two_sample,

@@ -15,14 +15,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
-from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import beta, betainc, gammaln
 
 from . import kernels
 from .errors import DomainError, QuadratureError
 from .hyperbolic import logcosh, sphere_area
-from .sampling import make_rng, zeta_rate
+from .sampling import (
+    _cosh_power_inverse,
+    _cosh_power_quantile,
+    make_rng,
+    zeta_mean_count,
+    zeta_rate,
+)
 
 DEFAULT_POINTS_PER_DRAW = 1000.0
 CF_TRUNCATION_EPS = 1e-10
@@ -45,17 +49,11 @@ def limit_scale_constant(d: int, lam: float) -> float:
 
 
 def _cosh_power_tail(p: float, T: float) -> float:
-    """int_T^infinity cosh(s)^p ds for p < -1 (or p=-1, which still converges)."""
-    # evaluate via exp(p * logcosh) so large s cannot overflow
-    val, err = quad(lambda s: math.exp(p * logcosh(s)), T, np.inf, limit=200)
-    if not math.isfinite(val):
-        raise QuadratureError("tail integral did not converge", achieved=err)
-    return val
-
-
-def _jump_mean_count(d: int, rate: float, T: float) -> float:
-    val, _ = quad(lambda s: math.cosh(s) ** (d - 1), 0.0, T, limit=200)
-    return rate * val
+    """int_T^infinity cosh(s)^p ds = B(h/2, 1/2) I_{sech^2 T}(h/2, 1/2) / 2, h = -p."""
+    h = -p
+    # sech^2 T through logcosh, which does not overflow at large T
+    sech2 = math.exp(-2.0 * logcosh(T))
+    return float(0.5 * beta(0.5 * h, 0.5) * betainc(0.5 * h, 0.5, sech2))
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None,
     if lam >= 1.0:
         raise DomainError("the limit law requires lambda < 1 (Gaussian regime)")
     rate = zeta_rate(d, lam) if rate is None else float(rate)
-    T0 = brentq(lambda T: _jump_mean_count(d, rate, T) - points_per_draw,
-                1e-3, 60.0)
+    T0 = float(_cosh_power_inverse(d - 1, points_per_draw / rate))
     tail_var = rate * _cosh_power_tail(3 - d, T0)
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
                         tail_variance=tail_var,
@@ -96,9 +93,13 @@ def tail_variance(spec: LimitLawSpec, T: float) -> float:
 
 
 def truncated_variance(spec: LimitLawSpec, T: float) -> float:
-    """Variance rate * int_0^T cosh^{3-d} of the compensated sum up to T."""
-    val, _ = quad(lambda s: math.cosh(s) ** (3 - spec.d), 0.0, T, limit=200)
-    return spec.rate * val
+    """Variance rate * int_0^T cosh^{3-d} of the compensated sum up to T.
+
+    With h = d - 3, int_0^T cosh^{-h} = B(1/2, h/2) I_{tanh^2 T}(1/2, h/2) / 2.
+    """
+    h = spec.d - 3
+    return float(spec.rate * 0.5 * beta(0.5, 0.5 * h)
+                 * betainc(0.5, 0.5 * h, math.tanh(T) ** 2))
 
 
 def tail_third_cumulant(spec: LimitLawSpec, T: float | None = None) -> float:
@@ -260,15 +261,6 @@ def cdf_via_inversion(spec: LimitLawSpec, x_grid, n_t: int | None = None,
 # hybrid sampler
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _jump_quantile_table(d: int, T0: float, knots: int = 1 << 17):
-    u = np.linspace(0.0, T0, knots + 1)
-    cdf = cumulative_simpson(np.cosh(u) ** (d - 1), x=u, initial=0.0)
-    total = cdf[-1]
-    cdf /= total
-    return u, cdf, total
-
-
 def sample_limit(spec: LimitLawSpec, n: int, seed: int,
                  chunk_draws: int = 10000) -> np.ndarray:
     """n hybrid-sampler draws of the limit variable.
@@ -276,8 +268,7 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int,
     Each draw is the compensated jump sum over [0, T0] plus an independent
     Gaussian carrying the small-jump tail variance.
     """
-    u_tab, cdf_tab, total = _jump_quantile_table(spec.d, spec.T0)
-    mean_jumps = spec.rate * total
+    mean_jumps = zeta_mean_count(spec.d, spec.lam, spec.T0, spec.rate)
     compensator = spec.rate * math.sinh(spec.T0)
     sigma_tail = math.sqrt(spec.tail_variance)
     out = np.empty(n)
@@ -285,7 +276,8 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int,
         m = min(chunk_draws, n - start)
         rng = make_rng(seed, b)
         counts = rng.poisson(mean_jumps, size=m)
-        s = np.interp(rng.random(int(counts.sum())), cdf_tab, u_tab)
+        s = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0,
+                                 rng.random(int(counts.sum())))
         h = np.cosh(s) ** (-(spec.d - 2))
         offsets = np.concatenate(([0], np.cumsum(counts)))
         sums = kernels.zeta_increment_sums(h, offsets)

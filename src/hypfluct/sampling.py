@@ -5,26 +5,36 @@ direction vector; the intensity in s is
 ``multiplier * (cosh s - lambda sinh s)^{d-1}`` on [-R, R].  Streams are
 keyed by (seed, replicate_index) through a counter-based Philox generator so
 replicates are reproducible independently of execution order.
+
+Every density sampled here is cosh^n on an interval [a, b] (the s-density in
+u = s - Delta, with n = d - 1), and one exact quantile serves them all: it
+solves K_n(u) = K_n(a) + p (K_n(b) - K_n(a)) with K_n = int_0^u cosh^n in closed
+form, by arcsinh at n = 1 and by Halley steps for n >= 2.  |F(Q(p)) - p| is
+within a few ulps, and the error in s is about eps max|K_n| / cosh^n(s).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
-from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, UnsupportedDimensionError
-from .hyperbolic import ModelConfig, lambda_geometry
+from .errors import DomainError, QuadratureError, UnsupportedDimensionError
+from .hyperbolic import ModelConfig
+from .kernels import BLOCK
 
-CDF_KNOTS = 8193  # >= 4096 knots for the tabulated-CDF route
+HALLEY_MAX_STEPS = 12  # 3-8 steps converge for n <= 60, t in [1e-300, K_n(700/n)]
+# steps below 4 n ulps of u are rounding noise of the n-term reduction for K_n
+HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 
 MAGIC = b"HYPF"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
+# header fields after MAGIC and the uint16 version: d, lam, R, [multiplier,]
+# seed, [replicate_index,] n; version 1 lacks the bracketed ones
+_DUMP_HEADERS = {1: struct.Struct("<HddQQ"), 2: struct.Struct("<HdddQQQ")}
 
 
 def make_rng(seed: int, replicate_index: int = 0) -> np.random.Generator:
@@ -57,32 +67,75 @@ def mean_count(config: ModelConfig) -> float:
     geom = config.geometry
     if geom.is_horospheric:
         return mult * 2.0 * math.sinh((d - 1) * R) / (d - 1)
-    if d == 2:
-        # mu * int cosh(s - Delta) = mu * 2 sinh R cosh Delta = 2 sinh R
-        return mult * 2.0 * math.sinh(R)
-    val, _ = quad(lambda u: math.cosh(u) ** (d - 1),
-                  -R - geom.delta, R - geom.delta, limit=200)
-    return mult * geom.mu ** (d - 1) * val
+    K_left, _ = _cosh_power_primitive(d - 1, R + geom.delta)
+    K_right, _ = _cosh_power_primitive(d - 1, R - geom.delta)
+    return mult * geom.mu ** (d - 1) * (K_left + K_right)
 
 
 # ---------------------------------------------------------------------------
-# inverse CDF of the normalized s-density
+# the density cosh^n: primitive, its inverse, quantiles
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _cdf_inverse_table(d: int, lam: float, R: float):
-    """Monotone spline p -> s for the generic (d >= 3, lambda < 1) case.
+def _cosh_power_primitive(n: int, u):
+    """(K_n(u), cosh^n u) for a float or an array u; K_n(u) = int_0^u cosh^n.
 
-    Tabulated on a grid uniform in u = s - Delta (the density is symmetric
-    there), CDF by cumulative Simpson on CDF_KNOTS knots.
+    By K_k = sinh cosh^{k-1} / k + (k-1)/k K_{k-2} from K_0 = u or K_1 = sinh u;
+    every term has the sign of u, so nothing cancels.
     """
-    geom = lambda_geometry(lam)
-    u = np.linspace(-R - geom.delta, R - geom.delta, CDF_KNOTS)
-    dens = np.cosh(u) ** (d - 1)
-    cdf = cumulative_simpson(dens, x=u, initial=0.0)
-    cdf /= cdf[-1]
-    # strictly increasing by positivity of the density
-    return PchipInterpolator(cdf, u + geom.delta)
+    # a float goes through math, so the d = 2 quantile stays exactly
+    # delta + arcsinh(sinh a + p (sinh b - sinh a)) with the math.sinh endpoints
+    if isinstance(u, float):
+        sh, ch = math.sinh(u), math.cosh(u)
+    else:
+        u = np.asarray(u, dtype=np.float64)
+        sh, ch = np.sinh(u), np.cosh(u)
+    K, ch_pow = (sh, ch) if n % 2 else (u, 1.0)
+    for k in range(2 + n % 2, n + 1, 2):
+        ch_pow = ch_pow * ch                      # cosh^{k-1}
+        K = sh * ch_pow / k + ((k - 1) / k) * K
+        ch_pow *= ch                              # cosh^k
+    return K, ch_pow
+
+
+def _cosh_power_inverse(n: int, t):
+    """The u with K_n(u) = t, for an array t and n >= 1."""
+    t = np.asarray(t, dtype=np.float64)
+    if n == 1:
+        return np.arcsinh(t)
+    a = np.abs(t)
+    # K_n(u) >= u and K_n(u) >= (e^{nu} - 1) / (n 2^n): u starts above the root,
+    # and Halley steps on the convex increasing K_n stay above it
+    u = np.minimum(a, np.log1p(n * 2.0 ** n * a) / n)
+    for _ in range(HALLEY_MAX_STEPS):
+        K, dK = _cosh_power_primitive(n, u)
+        r = (K - a) / dK
+        step = r / (1.0 - 0.5 * n * r * np.tanh(u))   # K_n'' / K_n' = n tanh u
+        u -= step
+        if np.all(np.abs(step) <= n * HALLEY_TOL_PER_N * u):
+            return np.copysign(u, t)
+    raise QuadratureError(f"cosh^{n} inverse did not converge in "
+                          f"{HALLEY_MAX_STEPS} Halley steps")
+
+
+def _cosh_power_quantile(n: int, a: float, b: float, p):
+    """Quantile at p of the density cosh^n on [a, b]; exactly a at 0, b at 1.
+
+    Inverts BLOCK points at a time, into one output array.
+    """
+    lo, _ = _cosh_power_primitive(n, a)
+    hi, _ = _cosh_power_primitive(n, b)
+    p = np.asarray(p, dtype=np.float64)
+    flat = p.reshape(-1)
+    u = np.empty(flat.size)
+    for i in range(0, flat.size, BLOCK):
+        u[i:i + BLOCK] = _cosh_power_inverse(n, lo + flat[i:i + BLOCK] * (hi - lo))
+    np.maximum(u, a, out=u)
+    np.minimum(u, b, out=u)
+    # a uniform draw is 0 with chance 2^-53, so the masks are rarely built
+    if flat.size and (flat.min() == 0.0 or flat.max() == 1.0):
+        u[flat == 0.0] = a
+        u[flat == 1.0] = b
+    return u.reshape(p.shape)
 
 
 def inverse_cdf(config: ModelConfig, p):
@@ -96,12 +149,10 @@ def inverse_cdf(config: ModelConfig, p):
         a = d - 1
         lo, hi = math.exp(-a * R), math.exp(a * R)
         out = -np.log(hi - p_arr * (hi - lo)) / a
-    elif d == 2:
-        delta = geom.delta
-        lo, hi = math.sinh(-R - delta), math.sinh(R - delta)
-        out = delta + np.arcsinh(lo + p_arr * (hi - lo))
     else:
-        out = _cdf_inverse_table(d, geom.lam, R)(p_arr)
+        # in u = s - Delta the density is cosh^{d-1}(u)
+        delta = geom.delta
+        out = delta + _cosh_power_quantile(d - 1, -R - delta, R - delta, p_arr)
     out = np.clip(out, -R, R)
     return float(out) if p_arr.ndim == 0 else out
 
@@ -145,10 +196,7 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0,
     """Draw one Poisson realization of the process restricted to [-R, R]."""
     rng = make_rng(seed, replicate_index)
     n = int(rng.poisson(mean_count(config)))
-    p = rng.random(n)
-    s = np.atleast_1d(np.asarray(inverse_cdf(config, p), dtype=np.float64))
-    if n == 0:
-        s = np.empty(0)
+    s = inverse_cdf(config, rng.random(n))
     u = None
     if with_directions:
         g = rng.standard_normal((n, config.d))
@@ -167,21 +215,10 @@ def zeta_rate(d: int, lam: float) -> float:
     return 2.0 * (1.0 - lam * lam) ** (0.5 * (d - 1))
 
 
-@lru_cache(maxsize=64)
-def _zeta_quantile_table(d: int, T: float, knots: int = CDF_KNOTS):
-    """Quantile interpolator for density cosh^{d-1} on [0, T] (unit rate)."""
-    u = np.linspace(0.0, T, knots)
-    dens = np.cosh(u) ** (d - 1)
-    cdf = cumulative_simpson(dens, x=u, initial=0.0)
-    total = cdf[-1]
-    cdf /= total
-    return PchipInterpolator(cdf, u), total
-
-
 def zeta_mean_count(d: int, lam: float, T: float, rate: float | None = None) -> float:
     rate = zeta_rate(d, lam) if rate is None else rate
-    _, total = _zeta_quantile_table(d, float(T))
-    return rate * total
+    K, _ = _cosh_power_primitive(d - 1, float(T))
+    return rate * K
 
 
 def sample_zeta(d: int, lam: float, T: float, seed: int,
@@ -195,12 +232,10 @@ def sample_zeta(d: int, lam: float, T: float, seed: int,
         raise UnsupportedDimensionError("the zeta process requires lambda < 1")
     if T <= 0.0:
         return np.empty(0)
-    rate = zeta_rate(d, lam) if rate is None else rate
-    interp, total = _zeta_quantile_table(d, float(T))
     if rng is None:
         rng = make_rng(seed)
-    n = int(rng.poisson(rate * total))
-    return np.sort(interp(rng.random(n)))
+    n = int(rng.poisson(zeta_mean_count(d, lam, T, rate)))
+    return np.sort(_cosh_power_quantile(d - 1, 0.0, T, rng.random(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +243,64 @@ def sample_zeta(d: int, lam: float, T: float, seed: int,
 # ---------------------------------------------------------------------------
 
 def write_sample_dump(path, samples) -> None:
-    """Little-endian dump: one (header, payload) block per ProcessSample."""
+    """Little-endian dump: one (header, payload) block per ProcessSample.
+
+    Header: MAGIC, the uint16 DUMP_VERSION and its _DUMP_HEADERS fields;
+    payload: n rows of (s, u_1..u_d) as float64.
+    """
+    header = _DUMP_HEADERS[DUMP_VERSION]
     with open(path, "wb") as fh:
         for sample in samples:
+            if sample.u is None:
+                raise ValueError("cannot dump a sample without directions")
             cfg = sample.config
             n = len(sample)
             fh.write(MAGIC)
-            fh.write(struct.pack("<HHddQQ", DUMP_VERSION, cfg.d, cfg.lam,
-                                 cfg.R, sample.seed, n))
-            if sample.u is None:
-                raise ValueError("cannot dump a sample without directions")
+            fh.write(struct.pack("<H", DUMP_VERSION))
+            fh.write(header.pack(cfg.d, cfg.lam, cfg.R, cfg.intensity_multiplier,
+                                 sample.seed, sample.replicate_index, n))
             rec = np.empty((n, 1 + cfg.d))
             rec[:, 0] = sample.s
             rec[:, 1:] = sample.u
             fh.write(rec.astype("<f8").tobytes())
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise DomainError(f"truncated dump: the {what} needs {size} bytes, "
+                          f"{left} are left")
+    return fh.read(size)
+
+
 def read_sample_dump(path):
-    """Inverse of :func:`write_sample_dump`; multiplier defaults to 1."""
+    """Inverse of :func:`write_sample_dump`, for format versions 1 and 2.
+
+    Version 1 stores no multiplier or replicate index; they read back as 1
+    and 0.  A bad magic, an unknown version or a short block raises
+    DomainError.
+    """
     out = []
-    header = struct.Struct("<HHddQQ")
     with open(path, "rb") as fh:
         while True:
-            magic = fh.read(4)
+            magic = fh.read(len(MAGIC))
             if not magic:
                 break
             if magic != MAGIC:
-                raise ValueError(f"bad magic {magic!r}")
-            version, d, lam, R, seed, n = header.unpack(fh.read(header.size))
-            if version != DUMP_VERSION:
-                raise ValueError(f"unsupported dump version {version}")
-            rec = np.frombuffer(fh.read(8 * n * (1 + d)), dtype="<f8")
-            rec = rec.reshape(n, 1 + d)
-            cfg = ModelConfig(d=d, lam=lam, R=R)
+                raise DomainError(f"bad magic {magic!r}")
+            (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+            header = _DUMP_HEADERS.get(version)
+            if header is None:
+                raise DomainError(f"unsupported dump version {version}")
+            fields = header.unpack(_read_exact(fh, header.size, "header"))
+            if version == 1:
+                (d, lam, R, seed, n), mult, replicate = fields, 1.0, 0
+            else:
+                d, lam, R, mult, seed, replicate, n = fields
+            cfg = ModelConfig(d=d, lam=lam, R=R, intensity_multiplier=mult)
+            rec = np.frombuffer(_read_exact(fh, 8 * n * (1 + d), "payload"),
+                                dtype="<f8").reshape(n, 1 + d)
             out.append(ProcessSample(config=cfg, s=rec[:, 0].copy(),
-                                     u=rec[:, 1:].copy(), seed=seed))
+                                     u=rec[:, 1:].copy(), seed=seed,
+                                     replicate_index=replicate))
     return out

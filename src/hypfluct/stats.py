@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -17,18 +16,6 @@ from . import functionals, limitlaw
 KOLMOGOROV_CRITICAL = {0.10: 1.2238734153404083,
                        0.05: 1.3581015157406195,
                        0.01: 1.6276236115189504}
-
-
-@dataclass(frozen=True)
-class EmpiricalSummary:
-    n: int
-    mean: float
-    k2: float
-    k3: float
-    k4: float
-    ks_vs_reference: float
-    w1_vs_reference: float
-    reference_tag: str
 
 
 def k_statistics(samples):

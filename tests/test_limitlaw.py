@@ -10,6 +10,7 @@ from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
     COS_HALF_WIDTH,
+    _cosh_power_tail,
     cdf_via_inversion,
     characteristic_function,
     levy_density,
@@ -24,6 +25,7 @@ from hypfluct.limitlaw import (
     write_cdf_csv,
     write_cf_csv,
 )
+from hypfluct.sampling import zeta_mean_count
 from hypfluct.stats import ks_distance
 
 
@@ -111,8 +113,8 @@ def test_levy_density_change_of_variables():
 # ---------------------------------------------------------------------------
 
 def test_spec_cutoff_hits_point_budget(spec4):
-    from hypfluct.limitlaw import _jump_mean_count
-    assert _jump_mean_count(4, 1.0, spec4.T0) == pytest.approx(1000.0, rel=1e-9)
+    assert zeta_mean_count(4, 0.0, spec4.T0, rate=1.0) == pytest.approx(1000.0,
+                                                                       rel=1e-9)
 
 
 def test_variance_splits_at_cutoff(spec4):
@@ -126,6 +128,21 @@ def test_tail_third_cumulant_is_negligible(spec4):
     # the Gaussian tail substitution bias, relative to cum_3
     bias = tail_third_cumulant(spec4)
     assert bias < 1e-3 * limit_cumulant(spec4, 3)
+
+
+@pytest.mark.parametrize("h,T", [(1, 0.5), (1, 3.1), (3, 7.5), (5, 2.0)])
+def test_cosh_power_tails_against_mpmath(h, T):
+    """int_T^inf cosh^{-h} and int_0^T cosh^{-h} against 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        tail = mpmath.quad(lambda s: mpmath.cosh(s) ** -h, [T, mpmath.inf])
+        head = mpmath.quad(lambda s: mpmath.cosh(s) ** -h, [0, T])
+    assert _cosh_power_tail(-h, T) == pytest.approx(float(tail), rel=1e-13)
+    # far out the tail underflows to 0 rather than overflowing cosh
+    assert _cosh_power_tail(-h, 1000.0) == 0.0
+    # truncated_variance is rate * int_0^T cosh^{3-d}
+    spec = limit_law_spec(h + 3, 0.0, rate=1.0)
+    assert truncated_variance(spec, T) == pytest.approx(float(head), rel=1e-13)
 
 
 def test_spec_domain_guards():

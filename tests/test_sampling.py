@@ -1,6 +1,7 @@
 """Poisson sampling layer: intensity, quantile function, streams, dumps."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from scipy.integrate import quad
 from hypfluct.errors import DomainError, UnsupportedDimensionError
 from hypfluct.hyperbolic import ModelConfig
 from hypfluct.sampling import (
+    MAGIC,
+    _cosh_power_inverse,
+    _cosh_power_primitive,
+    _cosh_power_quantile,
     inverse_cdf,
     intensity_density,
     make_rng,
@@ -84,7 +89,8 @@ def test_mean_count_vanishes_with_radius():
 # inverse CDF
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("d,lam", [(2, 0.0), (2, 0.6), (3, 0.4), (4, 0.5), (3, 1.0)])
+@pytest.mark.parametrize("d,lam", [(2, 0.0), (2, 0.6), (3, 0.4), (4, 0.5), (3, 1.0),
+                                   (6, 0.3), (8, 0.9)])
 def test_inverse_cdf_monotone_with_correct_range(d, lam):
     config = ModelConfig(d=d, lam=lam, R=3.0)
     p = np.linspace(0.0, 1.0, 201)
@@ -102,7 +108,8 @@ def test_inverse_cdf_rejects_bad_quantiles():
         inverse_cdf(config, np.array([0.2, -0.1]))
 
 
-@pytest.mark.parametrize("d,lam", [(2, 0.0), (3, 0.6), (4, 0.5), (2, 1.0)])
+@pytest.mark.parametrize("d,lam", [(2, 0.0), (3, 0.6), (4, 0.5), (2, 1.0), (6, 0.3),
+                                   (8, 0.9)])
 def test_inverse_cdf_agrees_with_rejection_sampler(d, lam):
     """Independent oracle: accept-reject from the uniform envelope."""
     config = ModelConfig(d=d, lam=lam, R=2.5)
@@ -119,6 +126,31 @@ def test_inverse_cdf_agrees_with_rejection_sampler(d, lam):
     # two-sample KS below the 1% critical value for n = m = 20000
     crit = 1.6276 * math.sqrt(2.0 / 20000.0)
     assert ks_two_sample(draws, oracle) < crit
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cosh_power_quantile_is_exact(n):
+    """Q inverts F = (K_n(u) - K_n(a)) / (K_n(b) - K_n(a)) to rounding, and
+    K_n = int_0^u cosh^n agrees with 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    p = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 2001)[1:-1],
+                        [1.0 - 1e-12, 1.0]))
+    R, delta = 3.0, math.atanh(0.5)
+    for a, b in ((-R - delta, R - delta), (0.0, 3.4)):
+        u = _cosh_power_quantile(n, a, b, p)
+        assert u[0] == a and u[-1] == b
+        assert np.all(np.diff(u) >= 0.0)
+        K, _ = _cosh_power_primitive(n, u)
+        Ka, _ = _cosh_power_primitive(n, a)
+        Kb, _ = _cosh_power_primitive(n, b)
+        assert np.max(np.abs((K - Ka) / (Kb - Ka) - p)) <= 1e-14
+    u = np.array([1e-6, 0.01, 0.3, 1.0, 3.0, 10.0, 30.0, -0.7, -12.0])
+    K, ch_pow = _cosh_power_primitive(n, u)
+    with mpmath.workdps(40):
+        ref = [mpmath.quad(lambda x: mpmath.cosh(x) ** n, [0, x]) for x in u]
+    np.testing.assert_allclose(K, np.array(ref, dtype=np.float64), rtol=1e-14)
+    np.testing.assert_allclose(ch_pow, np.cosh(u) ** n, rtol=1e-14)
+    np.testing.assert_allclose(_cosh_power_inverse(n, K), u, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +271,57 @@ def test_sample_dump_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         read_sample_dump(path)
+    path.write_bytes(MAGIC + struct.pack("<H", 7) + b"\x00" * 40)
+    with pytest.raises(DomainError, match="version 7"):
+        read_sample_dump(path)
+
+
+def test_sample_dump_keeps_multiplier_and_replicate(tmp_path):
+    config = ModelConfig(d=3, lam=0.0, R=2.5, intensity_multiplier=0.5)
+    samples = [sample_process(config, seed=2, replicate_index=i) for i in range(3)]
+    path = tmp_path / "v2.hypf"
+    write_sample_dump(path, samples)
+    back = read_sample_dump(path)
+    assert [rec.replicate_index for rec in back] == [0, 1, 2]
+    for orig, rec in zip(samples, back):
+        assert rec.config == config
+        assert rec.config.intensity_multiplier == 0.5
+        np.testing.assert_array_equal(orig.s, rec.s)
+        np.testing.assert_array_equal(orig.u, rec.u)
+
+
+def test_sample_dump_refuses_sample_without_directions(tmp_path):
+    sample = sample_process(ModelConfig(d=2, lam=0.0, R=2.0), seed=0,
+                            with_directions=False)
+    path = tmp_path / "nodirs.hypf"
+    with pytest.raises(ValueError, match="without directions"):
+        write_sample_dump(path, [sample])
+    assert path.read_bytes() == b""
+
+
+def test_sample_dump_truncated_raises_domain_error(tmp_path):
+    config = ModelConfig(d=2, lam=0.3, R=2.0)
+    path = tmp_path / "cut.hypf"
+    write_sample_dump(path, [sample_process(config, seed=1)])
+    data = path.read_bytes()
+    path.write_bytes(data[:-8])
+    payload = len(data) - 4 - 2 - struct.calcsize("<HdddQQQ")
+    with pytest.raises(DomainError,
+                       match=f"payload needs {payload} bytes, {payload - 8} are left"):
+        read_sample_dump(path)
+    path.write_bytes(data[:20])
+    with pytest.raises(DomainError, match="header needs 50 bytes, 14 are left"):
+        read_sample_dump(path)
+
+
+def test_sample_dump_reads_version_1(tmp_path):
+    rows = np.array([[0.5, 1.0, 0.0], [-1.25, 0.6, -0.8]])
+    path = tmp_path / "v1.hypf"
+    path.write_bytes(MAGIC + struct.pack("<HHddQQ", 1, 2, 0.25, 3.0, 11, 2)
+                     + rows.astype("<f8").tobytes())
+    (rec,) = read_sample_dump(path)
+    assert rec.config == ModelConfig(d=2, lam=0.25, R=3.0)
+    assert rec.config.intensity_multiplier == 1.0
+    assert rec.seed == 11 and rec.replicate_index == 0
+    np.testing.assert_array_equal(rec.s, rows[:, 0])
+    np.testing.assert_array_equal(rec.u, rows[:, 1:])
