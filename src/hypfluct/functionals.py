@@ -24,9 +24,10 @@ from .hyperbolic import (
     logcosh,
     sphere_area,
 )
-from .sampling import make_rng, inverse_cdf, mean_count
+from .sampling import inverse_cdf, make_rng, mean_count, poisson_block_sums
 
 MAX_CUMULANT_ORDER = 8
+REPLICATES_PER_STREAM = 256
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def variance_order(config: ModelConfig) -> float:
 
 
 def cosh_power_integral(h: float) -> float:
-    """int_{-inf}^{inf} cosh(y)^{-h} dy = sqrt(pi) Gamma(h/2)/Gamma((h+1)/2)."""
+    """int_{-inf}^{inf} cosh(y)^{-h} dy = B(h/2, 1/2) = sqrt(pi) Gamma(h/2)/Gamma((h+1)/2)."""
     if h <= 0.0:
         raise DomainError("divergent integral: exponent must be positive")
     return math.sqrt(math.pi) * math.exp(gammaln(h / 2.0) - gammaln((h + 1.0) / 2.0))
@@ -204,29 +205,24 @@ def berry_esseen_indicator(config: ModelConfig) -> float:
 # vectorized Monte Carlo over replicates
 # ---------------------------------------------------------------------------
 
-def simulate_surface(config: ModelConfig, n_replicates: int, seed: int,
-                     batch_size: int = 256):
+def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     """Simulate n_replicates values of the surface functional.
 
-    Returns (S, S_plus, S_minus) float arrays.  Deterministic for a fixed
-    (config, seed, batch_size): batch b draws from the stream keyed by
-    (seed, b), so batches can be computed in any order.
+    Returns (S, S_plus, S_minus) float arrays; a value depends only on
+    (config, seed, replicate).  Block b of REPLICATES_PER_STREAM replicates
+    draws its Poisson counts, then its uniforms in replicate order, from the
+    stream (seed, b).  About max(POINT_BUDGET, one replicate) points are held.
     """
-    mean = mean_count(config)
-    pos = np.empty(n_replicates)
-    neg = np.empty(n_replicates)
-    for b, start in enumerate(range(0, n_replicates, batch_size)):
-        m = min(batch_size, n_replicates - start)
-        rng = make_rng(seed, b)
-        counts = rng.poisson(mean, size=m)
-        total = int(counts.sum())
-        p = rng.random(total)
-        s = np.asarray(inverse_cdf(config, p), dtype=np.float64)
-        vols = _batch_volumes(config, s)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        bp, bn = kernels.signed_sums(vols, s, offsets)
-        pos[start:start + m] = bp
-        neg[start:start + m] = bn
+    def sums_of(p, offsets):
+        s = inverse_cdf(config, p)
+        return np.stack(kernels.signed_sums(_batch_volumes(config, s), s, offsets))
+
+    sums = np.empty((2, n_replicates))
+    for start, _, block_sums in poisson_block_sums(
+            mean_count(config), n_replicates, lambda b: make_rng(seed, b),
+            REPLICATES_PER_STREAM, sums_of):
+        sums[:, start:start + block_sums.shape[1]] = block_sums
+    pos, neg = sums
     return pos + neg, pos, neg
 
 

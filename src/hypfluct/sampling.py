@@ -3,8 +3,8 @@
 Coordinates are (s, u) with s the signed distance to the origin and u a unit
 direction vector; the intensity in s is
 ``multiplier * (cosh s - lambda sinh s)^{d-1}`` on [-R, R].  Streams are
-keyed by (seed, replicate_index) through a counter-based Philox generator so
-replicates are reproducible independently of execution order.
+keyed by (seed, replicate or block index) through a counter-based Philox
+generator, so values do not depend on execution order or memory budget.
 
 Every density sampled here is cosh^n on an interval [a, b] (the s-density in
 u = s - Delta, with n = d - 1), and one exact quantile serves them all: it
@@ -29,6 +29,8 @@ from .kernels import BLOCK
 HALLEY_MAX_STEPS = 12  # 3-8 steps converge for n <= 60, t in [1e-300, K_n(700/n)]
 # steps below 4 n ulps of u are rounding noise of the n-term reduction for K_n
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
+# points poisson_block_sums draws and reduces at once, in whole replicates
+POINT_BUDGET = 1 << 20
 
 MAGIC = b"HYPF"
 DUMP_VERSION = 2
@@ -106,12 +108,16 @@ def _cosh_power_inverse(n: int, t):
     # K_n(u) >= u and K_n(u) >= (e^{nu} - 1) / (n 2^n): u starts above the root,
     # and Halley steps on the convex increasing K_n stay above it
     u = np.minimum(a, np.log1p(n * 2.0 ** n * a) / n)
+    # K_n'' / K_n' = n tanh u; a point stops at its own first step within
+    # tolerance, so its root does not depend on the other points of the array
+    frozen = np.zeros(np.shape(u), dtype=bool)
     for _ in range(HALLEY_MAX_STEPS):
         K, dK = _cosh_power_primitive(n, u)
         r = (K - a) / dK
-        step = r / (1.0 - 0.5 * n * r * np.tanh(u))   # K_n'' / K_n' = n tanh u
+        step = np.where(frozen, 0.0, r / (1.0 - 0.5 * n * r * np.tanh(u)))
         u -= step
-        if np.all(np.abs(step) <= n * HALLEY_TOL_PER_N * u):
+        frozen |= np.abs(step) <= n * HALLEY_TOL_PER_N * u
+        if frozen.all():
             return np.copysign(u, t)
     raise QuadratureError(f"cosh^{n} inverse did not converge in "
                           f"{HALLEY_MAX_STEPS} Halley steps")
@@ -204,6 +210,27 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0,
         u = g / np.where(norms == 0.0, 1.0, norms)
     return ProcessSample(config=config, s=s, u=u, seed=seed,
                          replicate_index=replicate_index)
+
+
+def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
+    """Yield (start, rng, sums) per block of replicates of Poisson(mean) points.
+
+    Block b covers replicates [b block, b block + m) and draws its m counts,
+    then their uniforms in replicate order, from rng_of(b).  sums_of(p,
+    offsets) reduces the uniforms p of whole replicates (i-th at offsets[i])
+    to sums along its last axis, max(1, POINT_BUDGET // ceil(mean)) replicates
+    per call, so no sum depends on the budget.  A block is yielded after all
+    its uniforms are drawn, for the caller to draw more from rng.
+    """
+    per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
+    for b, start in enumerate(range(0, n, block)):
+        rng = rng_of(b)
+        counts = rng.poisson(mean, size=min(block, n - start))
+        sums = []
+        for i in range(0, counts.size, per_call):
+            offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
+            sums.append(sums_of(rng.random(int(offsets[-1])), offsets))
+        yield start, rng, np.concatenate(sums, axis=-1)
 
 
 # ---------------------------------------------------------------------------

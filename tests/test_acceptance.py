@@ -166,7 +166,7 @@ def test_criterion_7_horosphere_regime():
 
 def test_criterion_8_non_gaussian_regime_d4():
     config = ModelConfig(d=4, lam=0.0, R=4.0)
-    S, _, _ = functionals.simulate_surface(config, 2000, seed=0, batch_size=64)
+    S, _, _ = functionals.simulate_surface(config, 2000, seed=0)
     y = (S - functionals.expected_surface_area(config)) / math.exp(2.0 * config.R)
 
     spec = limitlaw.limit_law_spec(4, 0.0)  # oriented rate 2

@@ -1,6 +1,7 @@
 """Command-line parsing, exit codes, file outputs and SVG geometry."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -133,6 +134,18 @@ def test_limit_command_writes_cdf_and_cf(tmp_path):
     assert np.all(np.diff(F) >= 0.0)
     assert F[0] < 1e-3 and F[-1] > 1.0 - 1e-3
     assert tuple(cf[0]) == (0.0, 1.0, 0.0)
+
+
+def test_limit_command_honours_multiplier(tmp_path, capsys):
+    rates = []
+    for extra in ([], ["--multiplier", "0.5"]):
+        code = cli.main(["limit", "--d", "4", "--lambda", "0.3", "--n", "100",
+                         "--out", str(tmp_path / "lim")] + extra)
+        assert code == 0
+        rates.append(float(re.search(r"rate=(\S+):", capsys.readouterr().out).group(1)))
+    assert rates[1] == pytest.approx(0.5 * rates[0], rel=1e-5)
+    assert cli.main(["limit", "--d", "4", "--multiplier", "0", "--n", "100",
+                     "--out", str(tmp_path / "lim")]) == 1
 
 
 # ---------------------------------------------------------------------------

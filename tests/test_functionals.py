@@ -5,10 +5,15 @@ defining integrals (not from this package).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypfluct
+from hypfluct import sampling
 from hypfluct.errors import DomainError
 from hypfluct.hyperbolic import ModelConfig, ball_volume, lambda_geometry
 from hypfluct.sampling import (
@@ -256,7 +261,7 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
     """d = 6 batch volumes against the same points summed replicate by replicate.
 
     The points are redrawn from the stream simulate_surface uses for its first
-    batch; each replicate is summed by total_surface_area and, independently
+    block; each replicate is summed by total_surface_area and, independently
     of the batch kernel, by fsum of the log-space scalar section volumes.
     """
     config = ModelConfig(d=6, lam=0.3, R=2.5)
@@ -273,6 +278,39 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
         assert Sn[i] == pytest.approx(result.negative_part, rel=1e-13)
         scalar = math.fsum(intersection_volume(config, float(v)) for v in s)
         assert S[i] == pytest.approx(scalar, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
+                                     (6, 0.3, 2.5)])
+def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
+    """S, S+ and S- are bit-identical whether the points are reduced one
+    replicate at a time, 4096 at a time or at the default budget."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    runs = []
+    for budget in (1, 4096, sampling.POINT_BUDGET):
+        monkeypatch.setattr(sampling, "POINT_BUDGET", budget)
+        runs.append(simulate_surface(config, 300, seed=4))
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_simulate_surface_memory_is_bounded():
+    """d = 4, lambda = 0, R = 6 has 5.5e6 points per replicate; a child
+    process simulating 3 replicates peaks below 400 MB."""
+    code = ("import resource\n"
+            "from hypfluct.functionals import simulate_surface\n"
+            "from hypfluct.hyperbolic import ModelConfig\n"
+            "simulate_surface(ModelConfig(d=4, lam=0.0, R=6.0), 3, seed=0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    path = [os.path.dirname(os.path.dirname(hypfluct.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 400.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from hypfluct import sampling
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
     COS_HALF_WIDTH,
+    _compensated_cis,
     _cosh_power_tail,
     cdf_via_inversion,
     characteristic_function,
@@ -172,6 +174,35 @@ def test_cf_finite_difference_cumulants(spec4):
     assert -d3.imag == pytest.approx(math.pi / 4.0, rel=1e-4)
 
 
+def test_compensated_cis_against_mpmath():
+    """e^{iz} - 1 - iz to a few ulps in both parts, across the series cut-off."""
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-30, 30.0, 400), [-1e-3, -0.4999, -0.5, -7.0]])
+    got = _compensated_cis(z)
+    with mpmath.workdps(100):
+        ref = [complex(mpmath.expj(x) - 1 - 1j * x) for x in map(mpmath.mpf, z)]
+    np.testing.assert_allclose(got.real, [r.real for r in ref], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(got.imag, [r.imag for r in ref], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d, t", [(4, 1.0), (5, 2.0)])
+def test_cf_against_mpmath(d, t):
+    """The CF quadrature rule against 110-digit mpmath.
+
+    e^{ix} - 1 - ix cancels down to x ~ 1e-35 at s = 40, so the oracle needs
+    about 100 digits; at 30 it is itself off by ~1e-10.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    spec = limit_law_spec(d, 0.0)
+    with mpmath.workdps(110):
+        def integrand(s):
+            x = t * mpmath.cosh(s) ** (2 - d)
+            return (mpmath.expj(x) - 1 - 1j * x) * mpmath.cosh(s) ** (d - 1)
+        log_psi = spec.rate * mpmath.quad(integrand, [0, 1, 3, 10, 40, mpmath.inf])
+        psi = complex(mpmath.exp(log_psi))
+    assert abs(characteristic_function(spec, t) - psi) <= 1e-12
+
+
 def test_cf_semigroup_in_rate():
     a = limit_law_spec(4, 0.0, rate=1.0)
     b = limit_law_spec(4, 0.0, rate=2.0)
@@ -272,10 +303,15 @@ def test_sample_limit_deterministic(spec4):
     assert not np.array_equal(a, sample_limit(spec4, 500, seed=2))
 
 
-def test_sample_limit_chunking_invariant(spec4):
-    a = sample_limit(spec4, 500, seed=3, chunk_draws=500)
-    b = sample_limit(spec4, 500, seed=3, chunk_draws=500)
-    np.testing.assert_array_equal(a, b)
+def test_sample_limit_chunking_invariant(spec4, monkeypatch):
+    """Draws are bit-identical whether the jumps are reduced one draw at a
+    time, 4096 at a time or at the default point budget."""
+    runs = []
+    for budget in (1, 4096, sampling.POINT_BUDGET):
+        monkeypatch.setattr(sampling, "POINT_BUDGET", budget)
+        runs.append(sample_limit(spec4, 500, seed=3))
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run, runs[0])
 
 
 def test_sample_limit_moments(spec4):

@@ -153,6 +153,18 @@ def test_cosh_power_quantile_is_exact(n):
     np.testing.assert_allclose(_cosh_power_inverse(n, K), u, rtol=1e-14)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cosh_power_quantile_is_pointwise(n):
+    """A quantile depends only on its own p: 2e5 uniforms cut into pieces
+    give the values of the whole array, bit for bit."""
+    p = make_rng(0).random(200_000)
+    pieces = np.split(p, [1, 777, 8192, 50_000, 123_457])
+    for a, b in ((-3.5, 2.5), (-6.5, 5.4), (0.0, 4.0)):
+        whole = _cosh_power_quantile(n, a, b, p)
+        np.testing.assert_array_equal(
+            np.concatenate([_cosh_power_quantile(n, a, b, q) for q in pieces]), whole)
+
+
 # ---------------------------------------------------------------------------
 # process sampling
 # ---------------------------------------------------------------------------
