@@ -2,9 +2,13 @@
 
 Everything here is a pure function of its inputs.  Quantities that grow like
 e^{cR} are evaluated in log space so that radii up to several hundred remain
-representable; the plain-value entry points simply exponentiate the log-space
-result and may return ``inf`` only when the value genuinely exceeds double
-range is requested explicitly.
+representable; the plain-value entry points exponentiate the log-space result,
+which overflows only when the value itself exceeds double range.
+
+Every section formula is built from one quantity, log x with
+x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), and
+cosh R - cosh s is taken as the product 2 sinh((R+|s|)/2) sinh((R-|s|)/2),
+which has no cancellation as |s| -> R.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ from scipy.special import gammaln
 from .errors import DomainError, UnsupportedDimensionError
 
 LOG2 = math.log(2.0)
-
-# Tolerance for clamping the arcosh argument of the section radius; it can
-# dip slightly below 1 by rounding when |s| is within ulps of R.
-ARCOSH_CLAMP_TOL = 1e-12
 
 # int_0^rho sinh^n for even n: below x = cosh rho - 1 = SERIES_CUTOFF a
 # binomial series (cut at relative SERIES_TOL), above it the reduction formula.
@@ -60,17 +60,24 @@ def arcosh(t: float) -> float:
     return math.log(t) + LOG2
 
 
-def arcosh_from_log(log_t: float) -> float:
-    """arcosh(t) given log t >= 0, stable for arbitrarily large t."""
-    if log_t < 0.0:
-        if log_t > -ARCOSH_CLAMP_TOL:
-            return 0.0
-        raise DomainError(f"arcosh argument below 1 (log = {log_t})")
-    if log_t > 40.0:
-        # 1 - t^-2 indistinguishable from 1
-        return log_t + LOG2
-    t = math.exp(log_t)
-    return math.log(t + math.sqrt(t * t - 1.0))
+def arcosh1p_from_log(log_x: float) -> float:
+    """arcosh(1 + x) given log x, for any x >= 0 (0 at log x = -inf)."""
+    if log_x > 40.0:
+        # arcosh(1 + x) = log(2x) + O(1/x), and 1/x < 5e-18
+        return log_x + LOG2
+    x = math.exp(log_x)
+    return math.log1p(x + math.sqrt(x * (x + 2.0)))
+
+
+def _log_cosh_gap(A: float, s: float) -> float:
+    """log(cosh A - cosh s) = log 2 + logsinh((A+|s|)/2) + logsinh((A-|s|)/2).
+
+    The product has no cancellation as |s| -> A; -inf when |s| >= A.
+    """
+    a = abs(s)
+    if a >= A:
+        return -math.inf
+    return LOG2 + logsinh(0.5 * (A + a)) + logsinh(0.5 * (A - a))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,8 @@ def log_ball_volume(d: int, R: float) -> float:
         raise DomainError("R must be >= 0")
     if R == 0.0:
         return -math.inf
-    return math.log(sphere_area(d)) + log_sinh_power_integral(d - 1, R)
+    return (math.log(sphere_area(d))
+            + log_sinh_power_integral(d - 1, LOG2 + 2.0 * logsinh(0.5 * R)))
 
 
 def ball_volume(d: int, R: float) -> float:
@@ -193,35 +201,18 @@ def ball_volume(d: int, R: float) -> float:
 # section radius rho(s; R) and bounds
 # ---------------------------------------------------------------------------
 
-def _log_q(geom: LambdaGeometry, s: float, R: float) -> float:
-    """log of q = (cosh R - sinh Delta * sinh(s-Delta)) / (cosh Delta cosh(s-Delta)).
+def _log_section_x(geom: LambdaGeometry, s: float, R: float) -> float:
+    """log x, x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), lambda < 1.
 
-    Returns a value that may be slightly negative (>= -tol) at |s| = R.
+    -inf (rho = 0) when |s| >= R.
     """
-    delta = geom.delta
-    u = s - delta
-    a = logcosh(R)
-    if geom.lam == 0.0 or u == 0.0:
-        log_num = a
-    else:
-        b = logsinh(delta) + logsinh(abs(u))
-        if u < 0.0:
-            log_num = max(a, b) + math.log1p(math.exp(-abs(a - b)))
-        else:
-            # numerator stays positive for |s| <= R, so b < a
-            diff = b - a
-            if diff >= 0.0:
-                raise DomainError("section radius undefined: |s| > R")
-            log_num = a + math.log1p(-math.exp(diff))
-    log_cosh_delta = logcosh(delta)
-    return log_num - log_cosh_delta - logcosh(u)
+    return math.log(geom.mu) + _log_cosh_gap(R, s) - logcosh(s - geom.delta)
 
 
 def rho(geom: LambdaGeometry, s: float, R: float) -> float:
     """Intrinsic radius of the section H(s) cap B_R^d, lambda < 1.
 
-    Returns nan (empty section) when |s| > R; clamps rounding dips of the
-    arcosh argument below 1 to a zero radius.
+    Returns nan (empty section) when |s| > R and exactly 0 at |s| = R.
     """
     if geom.is_horospheric:
         raise UnsupportedDimensionError(
@@ -230,12 +221,7 @@ def rho(geom: LambdaGeometry, s: float, R: float) -> float:
         )
     if abs(s) > R:
         return math.nan
-    lq = _log_q(geom, s, R)
-    if lq < 0.0:
-        if lq > -ARCOSH_CLAMP_TOL * max(1.0, R):
-            return 0.0
-        raise DomainError(f"arcosh argument below 1 at s={s}, R={R}")
-    return arcosh_from_log(lq)
+    return arcosh1p_from_log(_log_section_x(geom, s, R))
 
 
 def rho_ugly(geom: LambdaGeometry, s: float, R: float) -> float:
@@ -266,10 +252,8 @@ def rho_bounds(geom: LambdaGeometry, s: float, R: float):
     u = s - delta
 
     def bound(Rshift):
-        lq = logcosh(Rshift) - logcosh(u)
-        if lq <= 0.0:
-            return 0.0
-        return arcosh_from_log(lq)
+        # arcosh(cosh Rshift / cosh u), 0 when |u| >= Rshift
+        return arcosh1p_from_log(_log_cosh_gap(Rshift, u) - logcosh(u))
 
     arcosh_lo = bound(R - delta)
     arcosh_hi = bound(R + delta)
@@ -318,11 +302,12 @@ def horner(coeffs, x):
     return acc
 
 
-def log_sinh_power_integral(n: int, rho_val: float) -> float:
-    """log of J_n = int_0^rho sinh^n(u) du, exact for every n >= 0.
+def log_sinh_power_integral(n: int, log_x: float) -> float:
+    """log of J_n = int_0^rho sinh^n(u) du given log x, x = cosh rho - 1.
 
-    With x = cosh rho - 1 (taken as log x = log 2 + 2 logsinh(rho/2)),
-    J_n = int_0^x (t (t + 2))^{(n-1)/2} dt:
+    Exact for every n >= 0, through J_n = int_0^x (t (t + 2))^{(n-1)/2} dt;
+    log x = -inf (rho = 0) gives -inf.  The radius itself is
+    rho = :func:`arcosh1p_from_log` (log x).
 
     * n = 0: J_0 = rho.
     * odd n = 2m + 1: the polynomial of :func:`odd_power_coefficients`, whose
@@ -338,20 +323,19 @@ def log_sinh_power_integral(n: int, rho_val: float) -> float:
       log J_n = (n-1) logsinh rho + logcosh rho - log n is what the
       reduction gives once 1/sinh^2 rho < 1e-17 (rho > 21).
 
-    Rounding is the only other error.  Working from rho in log space costs a
-    relative ~n ulp(rho) in J_n (a few ulps of log J_n); the even-n reduction
-    just above the cut-off adds an error that grows by about 2 per step of 2
-    in n.  Against 50-digit mpmath over rho in [1e-8, 700], log J_n is off by
-    at most 2e-15 (n <= 4) and 2e-14 (n <= 10) beyond two ulps of itself.
+    Rounding is the only other error.  J_n grows like x^{(n+1)/2} for small x
+    and like x^n for large x, so an error e in log x becomes at most
+    max(n, 1) e in log J_n; the even-n reduction just above the cut-off adds
+    an error that grows by about 2 per step of 2 in n.  Against 50-digit
+    mpmath at 400 radii in [1e-8, 700] and on both sides of the cut-off, with
+    log x = log 2 + 2 logsinh(rho/2), log J_n is off by at most 1.4e-15
+    (n <= 4) and 2.9e-14 (n <= 10) beyond two ulps of itself.
     """
-    if rho_val < 0.0:
-        raise DomainError("rho must be >= 0")
-    if rho_val == 0.0:
+    if log_x == -math.inf:
         return -math.inf
     if n == 0:
-        return math.log(rho_val)
+        return math.log(arcosh1p_from_log(log_x))
     m, odd = divmod(n, 2)
-    log_x = LOG2 + 2.0 * logsinh(0.5 * rho_val)
     if odd:
         coeffs = odd_power_coefficients(m)
         if log_x <= 0.0:
@@ -360,6 +344,7 @@ def log_sinh_power_integral(n: int, rho_val: float) -> float:
     if log_x < LOG_SERIES_CUTOFF:
         return ((m + 0.5) * log_x
                 + math.log(horner(even_series_coefficients(m), math.exp(log_x))))
+    rho_val = arcosh1p_from_log(log_x)
     log_sh = logsinh(rho_val)
     inv_sh2 = math.exp(-2.0 * log_sh)
     r = rho_val * math.tanh(rho_val)
@@ -372,20 +357,12 @@ def log_intersection_volume(config: ModelConfig, s: float) -> float:
     """log of the (d-1)-volume of H(s) cap B_R^d (-inf when empty)."""
     d, R = config.d, config.R
     geom = config.geometry
-    if abs(s) > R:
-        return -math.inf
     if geom.is_horospheric:
-        if abs(s) == R:
-            return -math.inf
         # kappa_{d-1} [2 e^s (cosh R - cosh s)]^{(d-1)/2}
-        lc = logcosh(R)
-        log_diff = lc + math.log1p(-math.exp(logcosh(s) - lc))
-        return math.log(ball_kappa(d - 1)) + 0.5 * (d - 1) * (LOG2 + s + log_diff)
-    r = rho(geom, s, R)
-    if r == 0.0 or math.isnan(r):
-        return -math.inf
+        return (math.log(ball_kappa(d - 1))
+                + 0.5 * (d - 1) * (LOG2 + s + _log_cosh_gap(R, s)))
     log_prefactor = math.log(sphere_area(d - 1)) - (d - 1) * math.log(geom.mu)
-    return log_prefactor + log_sinh_power_integral(d - 2, r)
+    return log_prefactor + log_sinh_power_integral(d - 2, _log_section_x(geom, s, R))
 
 
 def intersection_volume(config: ModelConfig, s: float) -> float:

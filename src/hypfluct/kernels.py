@@ -2,8 +2,7 @@
 
 Pure numpy, in blocks of BLOCK points.  The section volume is
 omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
-n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), which has no
-cancellation at the edge |s| -> R:
+n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
 
 * odd n: a polynomial in x with positive coefficients, exact up to rounding;
 * n = 0: rho = log1p(x + sqrt(x (x + 2)));
@@ -11,7 +10,14 @@ cancellation at the edge |s| -> R:
   replaced below x = SERIES_CUTOFF (0.25) by a binomial series whose dropped
   tail is below 1.5e-17 relative.
 
-Measured against 50-digit mpmath, the relative error of J_n is at most
+Forming cosh R - cosh s costs about eps cosh R / (cosh R - cosh s) relative
+as |s| -> R: up to 1.5e-10 against mpmath at d = 3, lambda = 0.5, R = 5 and
+s about 1e-6 below R.  Those points carry negligible volume.  The kernel
+keeps the difference because it is faster per block than the
+cancellation-free product 2 sinh((R+|s|)/2) sinh((R-|s|)/2) of the scalar
+path.
+
+Measured against 50-digit mpmath, the relative error of J_n given x is at most
 1.2e-15 for n <= 4, 3.0e-15 at n = 6 and 1.1e-14 at n = 10.  The kernels
 work in linear space, which is fine while the volume, of order e^{(d-2)R},
 stays in float range ((d - 2) R < ~700); the overflow-safe log-space scalar
@@ -66,7 +72,9 @@ def _section_volumes_block(s, R, d, lam, mu, delta, kappa_dm1):
     if lam == 1.0:
         arg = 2.0 * np.exp(s) * np.maximum(math.cosh(R) - np.cosh(s), 0.0)
         return kappa_dm1 * arg ** (0.5 * (d - 1))
-    # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), no cancellation
+    # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta); the difference
+    # loses ~eps cosh R / (cosh R - cosh s) relative near |s| = R, where the
+    # volume is negligible, and is faster here than the scalar path's sinh product
     x = np.maximum(mu * (math.cosh(R) - np.cosh(s)) / np.cosh(s - delta), 0.0)
     # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
     return ((d - 1) * kappa_dm1 / mu ** (d - 1)) * _sinh_power_integral(d - 2, x)

@@ -88,7 +88,7 @@ REPORT_COLUMNS = ("d", "lambda", "R", "n", "mean", "k2", "k3", "k4",
 
 
 def _limit_reference(d, lam, multiplier):
-    """CDF interpolator of the rescaled d>=4 limit: scale * Z_{d,lambda}."""
+    """(z, F) grid of the CDF of the rescaled d>=4 limit scale * Z_{d,lambda}."""
     spec = limitlaw.limit_law_spec(d, lam, rate=multiplier * limitlaw.zeta_rate(d, lam))
     scale = spec.scale_constant
     sd = scale * math.sqrt(limitlaw.limit_cumulant(spec, 2))

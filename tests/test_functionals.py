@@ -297,19 +297,24 @@ def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
 
 def test_simulate_surface_memory_is_bounded():
     """d = 4, lambda = 0, R = 6 has 5.5e6 points per replicate; a child
-    process simulating 3 replicates peaks below 400 MB."""
-    code = ("import resource\n"
-            "from hypfluct.functionals import simulate_surface\n"
+    process simulating 3 replicates peaks below 400 MB.
+
+    The peak is the child's own VmHWM: on Linux a child's ru_maxrss starts
+    from the parent's peak across fork and exec, so it would measure the
+    test runner rather than the simulation.
+    """
+    code = ("from hypfluct.functionals import simulate_surface\n"
             "from hypfluct.hyperbolic import ModelConfig\n"
             "simulate_surface(ModelConfig(d=4, lam=0.0, R=6.0), 3, seed=0)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as f:\n"
+            "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n")
     path = [os.path.dirname(os.path.dirname(hypfluct.__file__)),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+    peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
     assert peak_mb <= 400.0
 
 

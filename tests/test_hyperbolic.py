@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from hypfluct.errors import DomainError, UnsupportedDimensionError
 from hypfluct.hyperbolic import (
-    ARCOSH_CLAMP_TOL,
+    LOG2,
     ModelConfig,
     arcosh,
-    arcosh_from_log,
+    arcosh1p_from_log,
     ball_volume,
     intersection_volume,
     intersection_volume_asymptote,
@@ -57,22 +57,20 @@ def test_logsinh_matches_direct(x):
 
 
 @given(st.floats(min_value=1e-6, max_value=690.0))
-def test_arcosh_from_log_roundtrip(y):
-    # arcosh(cosh y) == y through the log-space route; arcosh is
-    # ill-conditioned near 1, so the tolerance is absolute there
-    assert arcosh_from_log(logcosh(y)) == pytest.approx(y, rel=1e-10, abs=1e-9)
+def test_arcosh1p_from_log_roundtrip(y):
+    # arcosh(1 + x) == y for x = cosh y - 1 = 2 sinh^2(y/2), taken in log
+    # space; given x itself, arcosh(1 + x) is well conditioned at every y
+    log_x = LOG2 + 2.0 * logsinh(0.5 * y)
+    assert arcosh1p_from_log(log_x) == pytest.approx(y, rel=1e-14)
 
 
 def test_arcosh_edge_cases():
     assert arcosh(1.0) == 0.0
-    assert arcosh_from_log(0.0) == 0.0
-    assert arcosh_from_log(-ARCOSH_CLAMP_TOL / 2.0) == 0.0
+    assert arcosh1p_from_log(-math.inf) == 0.0
     with pytest.raises(DomainError):
         arcosh(0.5)
-    with pytest.raises(DomainError):
-        arcosh_from_log(-1.0)
-    # huge argument branch: arcosh(t) ~ log(2t)
-    assert arcosh_from_log(500.0) == pytest.approx(500.0 + math.log(2.0))
+    # huge argument branch: arcosh(1 + x) ~ log(2x)
+    assert arcosh1p_from_log(500.0) == pytest.approx(500.0 + math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +143,22 @@ def test_log_sinh_power_integral_against_mpmath(n):
             # relative 1e-13 in J_n, plus the rounding of log J_n itself
             # (one ulp of log J_7(700) = 4893.2 is 9e-13)
             tol = 1e-13 + 4.0 * math.ulp(abs(log_exact))
-            got = log_sinh_power_integral(n, rho_val)
+            log_x = LOG2 + 2.0 * logsinh(0.5 * rho_val)
+            got = log_sinh_power_integral(n, log_x)
             assert abs(got - log_exact) <= tol, (n, rho_val, got - log_exact)
 
 
 def test_log_sinh_power_integral_edges():
-    assert log_sinh_power_integral(3, 0.0) == -math.inf
-    with pytest.raises(DomainError):
-        log_sinh_power_integral(2, -1.0)
+    # rho = 0 is x = 0, i.e. log x = -inf
+    for n in (0, 3, 4):
+        assert log_sinh_power_integral(n, -math.inf) == -math.inf
+    # n = 0 is the radius itself
+    assert log_sinh_power_integral(0, -1.0) == math.log(arcosh1p_from_log(-1.0))
     # the reduction tends to the leading term (n-1) logsinh + logcosh - log n
+    log_x = LOG2 + 2.0 * logsinh(30.0)
     for n in (2, 5, 12, 40):
         lead = (n - 1) * logsinh(60.0) + logcosh(60.0) - math.log(n)
-        assert log_sinh_power_integral(n, 60.0) == pytest.approx(lead, rel=1e-15)
+        assert log_sinh_power_integral(n, log_x) == pytest.approx(lead, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +176,43 @@ def test_rho_outside_ball_and_edges():
     geom = lambda_geometry(0.4)
     assert math.isnan(rho(geom, 5.0, 3.0))
     assert math.isnan(rho(geom, -5.0, 3.0))
-    assert rho(geom, 3.0, 3.0) == pytest.approx(0.0, abs=1e-6)
-    assert rho(geom, -3.0, 3.0) == pytest.approx(0.0, abs=1e-6)
+    assert rho(geom, 3.0, 3.0) == 0.0
+    assert rho(geom, -3.0, 3.0) == 0.0
     with pytest.raises(UnsupportedDimensionError):
         rho(lambda_geometry(1.0), 0.0, 1.0)
+
+
+def _mp_section(mpmath, d, lam, R, s):
+    """40-digit (x, volume) of the section at s, from the defining formulas."""
+    lam, R, s = mpmath.mpf(lam), mpmath.mpf(R), mpmath.mpf(s)
+    gap = mpmath.cosh(R) - mpmath.cosh(s)
+    kappa = mpmath.pi ** (mpmath.mpf(d - 1) / 2) / mpmath.gamma(mpmath.mpf(d + 1) / 2)
+    if lam == 1:
+        return None, kappa * (2 * mpmath.exp(s) * gap) ** (mpmath.mpf(d - 1) / 2)
+    mu = mpmath.sqrt(1 - lam ** 2)
+    x = mu * gap / mpmath.cosh(s - mpmath.atanh(lam))
+    rho_val = mpmath.acosh(1 + x)
+    J = mpmath.quad(lambda u: mpmath.sinh(u) ** (d - 2), [0, rho_val])
+    return x, (d - 1) * kappa * J / mu ** (d - 1)
+
+
+@pytest.mark.parametrize("d,lam,R", [(3, 0.5, 5.0), (4, 0.0, 4.0), (2, 1.0, 4.0)])
+def test_section_edge_precision_against_mpmath(d, lam, R):
+    """rho and the section volume keep full precision as |s| -> R.
+
+    cosh R - cosh s is formed as a product of sinh terms, so nothing cancels
+    at s = +-(R - 10^-k), k = 2..6; both match 40-digit mpmath to 1e-13.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    config = ModelConfig(d=d, lam=lam, R=R)
+    with mpmath.workdps(40):
+        for s in [sign * (R - 10.0 ** -k) for k in range(2, 7) for sign in (1, -1)]:
+            x, vol = _mp_section(mpmath, d, lam, R, s)
+            got = intersection_volume(config, s)
+            assert got == pytest.approx(float(vol), rel=1e-13, abs=0.0), s
+            if x is not None:
+                got = rho(config.geometry, s, R)
+                assert got == pytest.approx(float(mpmath.acosh(1 + x)), rel=1e-13, abs=0.0), s
 
 
 def test_rho_matches_ugly_form():
