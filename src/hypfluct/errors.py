@@ -10,7 +10,7 @@ class UnsupportedDimensionError(DomainError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A quadrature rule failed to reach the requested tolerance.
 
     Attributes
     ----------

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its inputs.  Quantities that grow like
 e^{cR} are evaluated in log space so that radii up to several hundred remain
-representable; the plain-value entry points exponentiate the log-space result,
-which overflows only when the value itself exceeds double range.
+representable; the plain-value entry points exponentiate the log-space result
+with :func:`exp_or_inf`, which gives inf when the value exceeds double range.
 
 Every section formula is built from one quantity, log x with
 x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), and
@@ -48,6 +48,14 @@ def logsinh(x: float) -> float:
         return math.log(x)
     # expm1 avoids the 1 - e^{-2x} cancellation for small x
     return x + math.log(-math.expm1(-2.0 * x)) - LOG2
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value); inf instead of OverflowError beyond double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def arcosh(t: float) -> float:
@@ -192,9 +200,7 @@ def log_ball_volume(d: int, R: float) -> float:
 
 def ball_volume(d: int, R: float) -> float:
     """Hyperbolic volume of B_R^d."""
-    if R == 0.0:
-        return 0.0
-    return math.exp(log_ball_volume(d, R))
+    return exp_or_inf(log_ball_volume(d, R))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +373,7 @@ def log_intersection_volume(config: ModelConfig, s: float) -> float:
 
 def intersection_volume(config: ModelConfig, s: float) -> float:
     """(d-1)-volume of the section of B_R^d by H(s); 0 when |s| > R."""
-    lv = log_intersection_volume(config, s)
-    return 0.0 if lv == -math.inf else math.exp(lv)
+    return exp_or_inf(log_intersection_volume(config, s))
 
 
 def log_intersection_volume_bound(config: ModelConfig, s: float) -> float:
@@ -386,7 +391,7 @@ def log_intersection_volume_bound(config: ModelConfig, s: float) -> float:
 
 
 def intersection_volume_bound(config: ModelConfig, s: float) -> float:
-    return math.exp(log_intersection_volume_bound(config, s))
+    return exp_or_inf(log_intersection_volume_bound(config, s))
 
 
 def log_intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
@@ -403,4 +408,4 @@ def log_intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
 
 
 def intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
-    return math.exp(log_intersection_volume_asymptote(config, s))
+    return exp_or_inf(log_intersection_volume_asymptote(config, s))

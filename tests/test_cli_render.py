@@ -112,6 +112,13 @@ def test_cumulants_command_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "d,lambda,R,k,I_value"
     assert len(lines) == 5  # k = 1..4
+    # I_4 at d = 4, R = 100 is beyond double range: written as inf, not raised
+    code = cli.main(["cumulants", "--d", "4", "--lambda", "0", "--R", "100",
+                     "--out", str(out)])
+    assert code == 0
+    values = [line.split(",")[-1] for line in out.read_text().strip().splitlines()[1:]]
+    assert values[-1] == "inf"
+    assert all(math.isfinite(float(v)) for v in values[:-1])
 
 
 def test_regimes_command_csv(tmp_path):

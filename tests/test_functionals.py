@@ -79,10 +79,10 @@ def test_expected_surface_area_is_lambda_free():
 def test_crofton_identity_via_quadrature():
     """First moment quadrature reproduces the ball volume independently."""
     from hypfluct.functionals import _cumulant_quadrature
-    for d, lam in ((2, 0.0), (3, 0.5), (4, 1.0), (4, 0.5)):
+    for d, lam in ((2, 0.0), (3, 0.5), (4, 1.0), (4, 0.5), (6, 0.3), (8, 0.9)):
         config = ModelConfig(d=d, lam=lam, R=3.0)
         assert _cumulant_quadrature(config, 1) == pytest.approx(
-            ball_volume(d, 3.0), rel=1e-8)
+            ball_volume(d, 3.0), rel=1e-12)
 
 
 def test_variance_frozen_values():
@@ -92,20 +92,38 @@ def test_variance_frozen_values():
         732.23169822286067, rel=1e-9)
     assert variance(ModelConfig(d=2, lam=1.0, R=4.0)) == pytest.approx(
         1311.0882263510111, rel=1e-9)
+    # horocycles in H^2: I_2 = 16 (R cosh R - sinh R), from tiny R to R = 400
+    mpmath = pytest.importorskip("mpmath")
+    for R in (1e-3, 10.0, 400.0):
+        with mpmath.workdps(50):
+            r = mpmath.mpf(R)
+            exact = float(16 * (r * mpmath.cosh(r) - mpmath.sinh(r)))
+        got = variance(ModelConfig(d=2, lam=1.0, R=R))
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_variance_d3_closed_form_matches_quadrature():
+    """The d = 3 closed form (2 pi)^2 (2R cosh^2 R - 3 sinh R cosh R + R) at R = 3."""
     from hypfluct.functionals import _cumulant_quadrature
     config = ModelConfig(d=3, lam=0.5, R=3.0)
-    closed = variance(config)
-    assert closed == pytest.approx(12182.138471702879, rel=1e-12)
-    assert _cumulant_quadrature(config, 2) == pytest.approx(closed, rel=1e-8)
+    assert _cumulant_quadrature(config, 2) == pytest.approx(12182.138471702879, rel=1e-12)
 
 
 def test_variance_d3_lambda_independent():
-    a = variance(ModelConfig(d=3, lam=0.0, R=3.0))
-    b = variance(ModelConfig(d=3, lam=0.5, R=3.0))
-    assert a == b
+    """I_2 = (2 pi)^2 (2R cosh^2 R - 3 sinh R cosh R + R) at d = 3 for every lambda < 1.
+
+    The closed form cancels down to O(R^5) as R -> 0, so the oracle is 50-digit
+    mpmath; the quadrature must match it from R = 1e-4 to 8.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    for R in (1e-4, 1e-2, 3.0, 8.0):
+        with mpmath.workdps(50):
+            r = mpmath.mpf(R)
+            exact = float((2 * mpmath.pi) ** 2 * (2 * r * mpmath.cosh(r) ** 2
+                                                  - 3 * mpmath.sinh(r) * mpmath.cosh(r) + r))
+        for lam in (0.0, 0.5, 0.9):
+            got = variance(ModelConfig(d=3, lam=lam, R=R))
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (R, lam)
 
 
 def test_cumulant_integral_multiplier_linearity():

@@ -119,6 +119,8 @@ def test_log_ball_volume_finite_at_huge_radius():
         # leading order (d-1) R + log(omega_d / (2^{d-1} (d-1)))
         lead = (d - 1) * 700.0 + math.log(sphere_area(d) / (2.0 ** (d - 1) * (d - 1)))
         assert lv == pytest.approx(lead, rel=1e-10)
+        if d >= 3:
+            assert ball_volume(d, 700.0) == math.inf
 
 
 @pytest.mark.parametrize("n", range(8))

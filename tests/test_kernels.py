@@ -20,13 +20,14 @@ def _random_inputs(seed, d, lam, R=4.0, n=5000):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_section_volumes_match_scalar_path(d, lam):
-    config = ModelConfig(d=d, lam=lam, R=4.0)
-    s, mu, delta = _random_inputs(0, d, lam)
-    vols = kernels.section_volumes(s, 4.0, d, lam, mu, delta, ball_kappa(d - 1))
-    # spot-check 50 points against the log-space scalar evaluation
-    for i in range(0, len(s), 100):
-        expected = intersection_volume(config, float(s[i]))
-        assert vols[i] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    for R in (1e-4, 4.0):      # tiny R: cosh R - cosh s must not cancel
+        config = ModelConfig(d=d, lam=lam, R=R)
+        s, mu, delta = _random_inputs(0, d, lam, R)
+        vols = kernels.section_volumes(s, R, d, lam, mu, delta, ball_kappa(d - 1))
+        # spot-check 50 points against the log-space scalar evaluation
+        for i in range(0, len(s), 100):
+            expected = intersection_volume(config, float(s[i]))
+            assert vols[i] == pytest.approx(expected, rel=1e-10, abs=0.0), R
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
