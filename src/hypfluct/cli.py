@@ -13,12 +13,6 @@ from . import functionals, limitlaw, render, sampling, stats
 from .errors import DomainError, QuadratureError
 from .hyperbolic import ModelConfig
 
-COMMANDS = ("sample", "crofton", "variance", "cumulants", "limit", "regimes",
-            "render")
-
-CONFIG_KEYS = {"d": int, "lambda": float, "R": str, "n": int, "seed": int,
-               "multiplier": float, "out": str}
-
 
 @dataclass
 class ExperimentConfig:
@@ -36,79 +30,80 @@ class UsageError(Exception):
     pass
 
 
-def _parse_r_list(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"malformed R list: {text!r}")
-    if not values or any(v <= 0.0 for v in values):
-        raise UsageError("R list must be nonempty and positive")
+def _parse_r_list(text: str) -> list:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values or not all(0.0 < v < math.inf for v in values):
+        raise ValueError("R list must be nonempty, positive and finite")
     return values
 
 
-def _read_config_file(path):
-    """Line-oriented UTF-8 key=value file."""
-    values = {}
+# key: (ExperimentConfig field, parser); each key is the flag --key and a
+# config-file key
+OPTIONS = {"d": ("d", int), "lambda": ("lam", float), "R": ("R_list", _parse_r_list),
+           "n": ("n_replicates", int), "seed": ("seed", int),
+           "multiplier": ("multiplier", float), "out": ("output_path", str)}
+# flags a command does not read; a config file may set these keys, so that one
+# file can describe an experiment that several commands run
+_UNREAD = {"cumulants": ("n", "seed"), "limit": ("R",), "render": ("n",)}
+
+
+def _read_config_file(path) -> list:
+    """Line-oriented UTF-8 key=value file, as (key, text, "path:line") entries."""
+    entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    + ", ".join(sorted(CONFIG_KEYS)))
-            try:
-                values[key] = CONFIG_KEYS[key](val)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: malformed value {val!r}")
-    return values
+            where = f"{path}:{lineno}"
+            key, eq, text = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"{where}: expected key=value")
+            if key not in OPTIONS:
+                raise ValueError(f"{where}: unknown key {key!r}; valid keys: "
+                                 + ", ".join(sorted(OPTIONS)))
+            entries.append((key, text, where))
+    return entries
+
+
+def _resolve(args: dict) -> ExperimentConfig:
+    command = args["command"]
+    unread = [f"--{key}" for key in _UNREAD.get(command, ()) if args[key] is not None]
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(unread)}")
+    entries = _read_config_file(args["config"]) if args["config"] else []
+    entries += [(key, args[key], f"--{key}") for key in OPTIONS if args[key] is not None]
+    cfg = ExperimentConfig(command=command)
+    for key, text, where in entries:        # later entries win: flags over the file
+        name, parse = OPTIONS[key]
+        try:
+            setattr(cfg, name, parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed value {text!r} ({exc})") from None
+    if command in ("sample", "render") and args["R"] is not None and len(cfg.R_list) > 1:
+        raise ValueError(f"{command} takes one radius, got --R {args['R']}")
+    if cfg.n_replicates < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= cfg.lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {cfg.lam}")
+    return cfg
 
 
 def parse_config(argv) -> ExperimentConfig:
-    """Flags override config-file values; file keys are d, lambda, R, n,
-    seed, multiplier, out."""
-    parser = argparse.ArgumentParser(prog="hypfluct", add_help=True)
+    """Flags override config-file values; both take the keys of OPTIONS."""
+    parser = argparse.ArgumentParser(prog="hypfluct")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--R", type=str, help="comma-separated radii")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--multiplier", type=float)
-    parser.add_argument("--out", type=str)
-    parser.add_argument("--config", type=str)
+    for key in OPTIONS:
+        parser.add_argument(f"--{key}")
+    parser.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
+        return _resolve(vars(parser.parse_args(argv)))
     except SystemExit as exc:
         if exc.code not in (0, None):
             raise UsageError("bad command line") from None
         raise
-
-    file_vals = _read_config_file(args.config) if args.config else {}
-    cfg = ExperimentConfig(command=args.command)
-
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        return file_vals.get(key, default)
-
-    cfg.d = pick(args.d, "d", cfg.d)
-    cfg.lam = pick(args.lam, "lambda", cfg.lam)
-    cfg.R_list = _parse_r_list(pick(args.R, "R", "3"))
-    cfg.n_replicates = pick(args.n, "n", cfg.n_replicates)
-    cfg.seed = pick(args.seed, "seed", cfg.seed)
-    cfg.multiplier = pick(args.multiplier, "multiplier", cfg.multiplier)
-    cfg.output_path = pick(args.out, "out", "")
-    if cfg.n_replicates < 1:
-        raise UsageError("n must be >= 1")
-    if not 0.0 <= cfg.lam <= 1.0:
-        raise UsageError(f"lambda must lie in [0, 1], got {cfg.lam}")
-    return cfg
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _model(cfg, R) -> ModelConfig:
@@ -116,8 +111,13 @@ def _model(cfg, R) -> ModelConfig:
                        intensity_multiplier=cfg.multiplier)
 
 
-def _out(cfg, default):
-    return cfg.output_path or default
+def _write_csv(path, header, rows) -> None:
+    """Header, then rows: ints by str, every other value by repr(float(v))."""
+    lines = [",".join(header)]
+    lines.extend(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+                 for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _run_sample(cfg):
     model = _model(cfg, cfg.R_list[0])
     samples = [sampling.sample_process(model, cfg.seed, replicate_index=i)
                for i in range(cfg.n_replicates)]
-    path = _out(cfg, "samples.hypf")
+    path = cfg.output_path or "samples.hypf"
     sampling.write_sample_dump(path, samples)
     total = sum(len(s) for s in samples)
     print(f"sample d={cfg.d} lambda={cfg.lam} R={model.R}: "
@@ -136,36 +136,32 @@ def _run_sample(cfg):
 
 
 def _run_crofton(cfg):
-    path = _out(cfg, "crofton.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,lambda,R,n,mc_mean,expected,z_score\n")
-        for R in cfg.R_list:
-            model = _model(cfg, R)
-            S, _, _ = functionals.simulate_surface(model, cfg.n_replicates,
-                                                   cfg.seed)
-            expected = functionals.expected_surface_area(model)
-            se = math.sqrt(functionals.variance(model) / cfg.n_replicates)
-            z = (float(S.mean()) - expected) / se
-            fh.write(f"{cfg.d},{cfg.lam!r},{R!r},{cfg.n_replicates},"
-                     f"{float(S.mean())!r},{expected!r},{z!r}\n")
-            print(f"crofton R={R} lambda={cfg.lam}: mc={S.mean():.6g} "
-                  f"expected={expected:.6g} z={z:+.2f}")
+    rows = []
+    for R in cfg.R_list:
+        model = _model(cfg, R)
+        S, _, _ = functionals.simulate_surface(model, cfg.n_replicates, cfg.seed)
+        mc = float(S.mean())
+        expected = functionals.expected_surface_area(model)
+        z = (mc - expected) / math.sqrt(functionals.variance(model) / cfg.n_replicates)
+        rows.append((cfg.d, cfg.lam, R, cfg.n_replicates, mc, expected, z))
+        print(f"crofton R={R} lambda={cfg.lam}: mc={mc:.6g} "
+              f"expected={expected:.6g} z={z:+.2f}")
+    _write_csv(cfg.output_path or "crofton.csv",
+               ("d", "lambda", "R", "n", "mc_mean", "expected", "z_score"), rows)
 
 
 def _run_variance(cfg):
-    path = _out(cfg, "variance.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,lambda,R,n,empirical_var,I2,ratio\n")
-        for R in cfg.R_list:
-            model = _model(cfg, R)
-            S, _, _ = functionals.simulate_surface(model, cfg.n_replicates,
-                                                   cfg.seed)
-            emp = float(np.var(S, ddof=1))
-            i2 = functionals.variance(model)
-            fh.write(f"{cfg.d},{cfg.lam!r},{R!r},{cfg.n_replicates},"
-                     f"{emp!r},{i2!r},{emp / i2!r}\n")
-            print(f"variance R={R} lambda={cfg.lam}: empirical={emp:.6g} "
-                  f"I2={i2:.6g} ratio={emp / i2:.4f}")
+    rows = []
+    for R in cfg.R_list:
+        model = _model(cfg, R)
+        S, _, _ = functionals.simulate_surface(model, cfg.n_replicates, cfg.seed)
+        emp = float(np.var(S, ddof=1))
+        i2 = functionals.variance(model)
+        rows.append((cfg.d, cfg.lam, R, cfg.n_replicates, emp, i2, emp / i2))
+        print(f"variance R={R} lambda={cfg.lam}: empirical={emp:.6g} "
+              f"I2={i2:.6g} ratio={emp / i2:.4f}")
+    _write_csv(cfg.output_path or "variance.csv",
+               ("d", "lambda", "R", "n", "empirical_var", "I2", "ratio"), rows)
 
 
 def _run_cumulants(cfg):
@@ -177,7 +173,8 @@ def _run_cumulants(cfg):
                          functionals.cumulant_integral(model, k)))
         print(f"cumulants R={R} lambda={cfg.lam}: "
               + " ".join(f"I{k}={v:.6g}" for (_, _, _, k, v) in rows[-4:]))
-    functionals.write_cumulant_csv(_out(cfg, "cumulants.csv"), rows)
+    _write_csv(cfg.output_path or "cumulants.csv",
+               ("d", "lambda", "R", "k", "I_value"), rows)
 
 
 def _run_limit(cfg):
@@ -190,9 +187,9 @@ def _run_limit(cfg):
     F = limitlaw.cdf_via_inversion(spec, x)
     t = np.linspace(0.0, 20.0, 401)
     psi = limitlaw.characteristic_function(spec, t)
-    base = _out(cfg, "limit")
-    limitlaw.write_cdf_csv(base + "_cdf.csv", x, F)
-    limitlaw.write_cf_csv(base + "_cf.csv", t, psi)
+    base = cfg.output_path or "limit"
+    _write_csv(base + "_cdf.csv", ("x", "F"), zip(x, F))
+    _write_csv(base + "_cf.csv", ("t", "re_psi", "im_psi"), zip(t, psi.real, psi.imag))
     print(f"limit d={cfg.d} lambda={cfg.lam} rate={spec.rate:.6g}: "
           f"n={cfg.n_replicates} k2={k2:.5f} (cum2={limitlaw.limit_cumulant(spec, 2):.5f}) "
           f"k3={k3:.5f} k4={k4:.5f}")
@@ -201,7 +198,8 @@ def _run_limit(cfg):
 def _run_regimes(cfg):
     rows = stats.regime_report(cfg.d, cfg.lam, cfg.R_list, cfg.n_replicates,
                                cfg.seed, multiplier=cfg.multiplier)
-    stats.write_report_csv(_out(cfg, "regimes.csv"), rows)
+    _write_csv(cfg.output_path or "regimes.csv", stats.REPORT_COLUMNS,
+               ([row[col] for col in stats.REPORT_COLUMNS] for row in rows))
     for row in rows:
         print(f"regimes R={row['R']} lambda={cfg.lam}: "
               f"ks_N(0,1)={row['ks_normal1']:.4f} "
@@ -213,14 +211,14 @@ def _run_render(cfg):
     model = _model(cfg, cfg.R_list[0])
     sample = sampling.sample_process(model, cfg.seed)
     svg = render.render_disk(sample)
-    path = _out(cfg, "disk.svg")
+    path = cfg.output_path or "disk.svg"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"render d=2 lambda={cfg.lam} R={model.R}: "
           f"{len(sample)} curves -> {path}")
 
 
-_DISPATCH = {
+COMMANDS = {
     "sample": _run_sample,
     "crofton": _run_crofton,
     "variance": _run_variance,
@@ -233,22 +231,24 @@ _DISPATCH = {
 
 def run(cfg: ExperimentConfig) -> int:
     try:
-        _DISPATCH[cfg.command](cfg)
+        COMMANDS[cfg.command](cfg)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, UsageError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit:
         return 0

@@ -82,19 +82,32 @@ def _cumulant_quadrature(config: ModelConfig, k: int) -> float:
     vol ~ (R - |s|)^{(d-1)/2} at full accuracy (Takahasi & Mori, Publ. RIMS 9,
     1974).  Error budget: each half stops at an estimated 1e-12 relative; the
     result is within ~3e-14 of mpmath and the closed forms for k = 1..4,
-    d <= 8 and R from 1e-4 to 20.  Volume and intensity must be in float range.
+    d <= 8 and R from 1e-4 to 20.  Where the linear kernel or the intensity
+    overflows, the rule is run again over the overflow-safe scalar log-space
+    path, so a value beyond double range comes back as inf.
     """
     R = config.R
     geom = config.geometry
 
     def log_f(s):
-        with np.errstate(divide="ignore"):    # log 0 = -inf at |s| = R
-            log_vol = np.log(_batch_volumes(config, s))
-        return k * log_vol + np.log(intensity_density(config, s))
+        with np.errstate(divide="ignore", over="raise"):   # log 0 = -inf at |s| = R
+            return (k * np.log(_batch_volumes(config, s))
+                    + np.log(intensity_density(config, s)))
+
+    def log_f_wide(s):          # the scalar log-space path: no overflow at any R
+        x = s.ravel()
+        log_dens = (-x if geom.is_horospheric else math.log(geom.mu)
+                    + np.logaddexp(x - geom.delta, geom.delta - x) - math.log(2.0))
+        log_vol = np.array([log_intersection_volume(config, v) for v in x])
+        return (k * log_vol + (config.d - 1) * log_dens
+                + math.log(config.intensity_multiplier)).reshape(s.shape)
 
     c = 0.0 if geom.is_horospheric else min(geom.delta, R)
     a, b = np.array([-R, c]), np.array([c, R])
-    res = tanhsinh(log_f, a, b, log=True, rtol=math.log(1e-12))
+    try:
+        res = tanhsinh(log_f, a, b, log=True, rtol=math.log(1e-12))
+    except (OverflowError, FloatingPointError):
+        res = tanhsinh(log_f_wide, a, b, log=True, rtol=math.log(1e-12))
     log_total = float(np.logaddexp.reduce(res.integral))
     if not np.all(res.success | (a == b)):    # an empty half [R, R] is exact
         achieved = float(np.exp(np.logaddexp.reduce(res.error) - log_total))
@@ -203,26 +216,3 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
         sums[:, start:start + block_sums.shape[1]] = block_sums
     pos, neg = sums
     return pos + neg, pos, neg
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) or hasattr(x, "dtype") else str(x)
-
-
-def write_cumulant_csv(path, rows) -> None:
-    """rows of (d, lambda, R, k, I_value); floats as round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,lambda,R,k,I_value\n")
-        for d, lam, R, k, val in rows:
-            fh.write(f"{d},{_fmt(lam)},{_fmt(R)},{k},{_fmt(val)}\n")
-
-
-def write_surface_csv(path, S, S_plus, S_minus) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,S,S_plus,S_minus\n")
-        for i, (a, b, c) in enumerate(zip(S, S_plus, S_minus)):
-            fh.write(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(c)}\n")

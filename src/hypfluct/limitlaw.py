@@ -79,12 +79,11 @@ class LimitLawSpec:
     scale_constant: float
 
 
-def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None,
-                   points_per_draw: float = DEFAULT_POINTS_PER_DRAW) -> LimitLawSpec:
+def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None) -> LimitLawSpec:
     """Build a LimitLawSpec; rate defaults to 2 (1-lambda^2)^{(d-1)/2}.
 
     Pass rate=1 for the unoriented half-line variant.  T0 is chosen so that
-    the exactly-simulated jump count per draw is about points_per_draw.
+    the exactly-simulated jump count per draw is about DEFAULT_POINTS_PER_DRAW.
     """
     if d < 4:
         raise DomainError("the limit law requires d >= 4")
@@ -93,7 +92,7 @@ def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None,
     rate = zeta_rate(d, lam) if rate is None else float(rate)
     if not rate > 0.0:
         raise DomainError("the limit law requires rate > 0")
-    T0 = float(_cosh_power_inverse(d - 1, points_per_draw / rate))
+    T0 = float(_cosh_power_inverse(d - 1, DEFAULT_POINTS_PER_DRAW / rate))
     tail_var = rate * _cosh_power_tail(3 - d, T0)
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
                         tail_variance=tail_var,
@@ -278,22 +277,3 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
         out[start:start + sums.size] = (sums - compensator
                                         + sigma_tail * rng.standard_normal(sums.size))
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def write_cf_csv(path, t_grid, psi_values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,re_psi,im_psi\n")
-        for t, p in zip(t_grid, psi_values):
-            p = complex(p)
-            fh.write(f"{float(t)!r},{p.real!r},{p.imag!r}\n")
-
-
-def write_cdf_csv(path, x_grid, F_values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,F\n")
-        for x, F in zip(x_grid, F_values):
-            fh.write(f"{float(x)!r},{float(F)!r}\n")

@@ -137,13 +137,3 @@ def regime_report(d: int, lam: float, R_list, n_replicates: int, seed: int,
         rows.append(row)
     return rows
 
-
-def write_report_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            vals = []
-            for col in REPORT_COLUMNS:
-                v = row[col]
-                vals.append(str(v) if isinstance(v, int) else repr(float(v)))
-            fh.write(",".join(vals) + "\n")

@@ -2,15 +2,19 @@
 
 import math
 import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypfluct import cli, render
+from hypfluct import cli, functionals, limitlaw, render, stats
 from hypfluct.cli import UsageError, parse_config, run
 from hypfluct.hyperbolic import ModelConfig, lambda_geometry
 from hypfluct.sampling import read_sample_dump, sample_process
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +74,55 @@ def test_config_file_malformed_value(tmp_path):
         parse_config(["crofton", "--config", str(path)])
 
 
+def test_config_file_malformed_value_names_its_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("d = 3\n\nR = 2,x\n")
+    with pytest.raises(UsageError, match=re.escape(f"{path}:3: malformed value '2,x'")):
+        parse_config(["crofton", "--config", str(path)])
+    # a flag overrides the value, but the file is still checked
+    with pytest.raises(UsageError, match=re.escape(f"{path}:3: malformed value")):
+        parse_config(["crofton", "--config", str(path), "--R", "2"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "--n", "5"],
+    ["cumulants", "--seed", "1"],
+    ["limit", "--R", "3"],
+    ["render", "--n", "5"],
+    ["sample", "--R", "2,3"],
+    ["render", "--R", "2,3"],
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(UsageError):
+        parse_config(argv)
+
+
+def test_config_file_may_set_keys_a_command_does_not_read(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("d = 4\nR = 6,8\nn = 500\nseed = 3\n")
+    cfg = parse_config(["cumulants", "--config", str(path)])
+    assert cfg.R_list == [6.0, 8.0] and cfg.n_replicates == 500
+    assert parse_config(["limit", "--config", str(path)]).d == 4
+
+
+def test_readme_cli_lines_parse():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("hypfluct ")]
+    assert len(lines) == len(cli.COMMANDS)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parse_config(argv).command == argv[0]
+
+
+def test_file_errors_exit_1_with_a_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["crofton", "--config", "missing.cfg"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(["cumulants", "--R", "2", "--out", "nodir/x.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_main_exit_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["crofton", "--d", "2", "--R", "1", "--n", "50"]) == 0
@@ -119,6 +172,77 @@ def test_cumulants_command_csv(tmp_path):
     values = [line.split(",")[-1] for line in out.read_text().strip().splitlines()[1:]]
     assert values[-1] == "inf"
     assert all(math.isfinite(float(v)) for v in values[:-1])
+    # at R = 800 the kernel itself overflows; every I_k is beyond double range
+    assert cli.main(["cumulants", "--d", "4", "--lambda", "0", "--R", "800",
+                     "--out", str(out)]) == 0
+    assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["inf"] * 4
+
+
+def _crofton_rows(base):
+    rows = []
+    for R in (1.0, 2.0):
+        model = ModelConfig(d=3, lam=0.5, R=R)
+        S, _, _ = functionals.simulate_surface(model, 200, 0)
+        mc = float(S.mean())
+        expected = functionals.expected_surface_area(model)
+        z = (mc - expected) / math.sqrt(functionals.variance(model) / 200)
+        rows.append((3, 0.5, R, 200, mc, expected, z))
+    return {"": (("d", "lambda", "R", "n", "mc_mean", "expected", "z_score"), rows)}
+
+
+def _variance_rows(base):
+    model = ModelConfig(d=2, lam=1.0, R=2.0)
+    S, _, _ = functionals.simulate_surface(model, 300, 4)
+    emp = float(np.var(S, ddof=1))
+    i2 = functionals.variance(model)
+    return {"": (("d", "lambda", "R", "n", "empirical_var", "I2", "ratio"),
+                 [(2, 1.0, 2.0, 300, emp, i2, emp / i2)])}
+
+
+def _cumulants_rows(base):
+    rows = [(4, 0.0, R, k, functionals.cumulant_integral(ModelConfig(d=4, lam=0.0, R=R), k))
+            for R in (6.0, 100.0) for k in range(1, 5)]
+    return {"": (("d", "lambda", "R", "k", "I_value"), rows)}
+
+
+def _limit_rows(base):
+    # the grids are the command's own; the values must be the library's at them
+    x, t = ([float(line.split(",")[0]) for line in Path(path).read_text().splitlines()[1:]]
+            for path in (base + "_cdf.csv", base + "_cf.csv"))
+    spec = limitlaw.limit_law_spec(4, 0.0)
+    psi = limitlaw.characteristic_function(spec, np.array(t))
+    return {"_cdf.csv": (("x", "F"), list(zip(x, limitlaw.cdf_via_inversion(spec, x)))),
+            "_cf.csv": (("t", "re_psi", "im_psi"), list(zip(t, psi.real, psi.imag)))}
+
+
+def _regimes_rows(base):
+    rows = stats.regime_report(2, 0.5, [2.0, 3.0], 200, 1, multiplier=0.5)
+    return {"": (stats.REPORT_COLUMNS, [[row[c] for c in stats.REPORT_COLUMNS] for row in rows])}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["crofton", "--d", "3", "--lambda", "0.5", "--R", "1,2", "--n", "200"], _crofton_rows),
+    (["variance", "--d", "2", "--lambda", "1", "--R", "2", "--n", "300", "--seed", "4"],
+     _variance_rows),
+    (["cumulants", "--d", "4", "--lambda", "0", "--R", "6,100"], _cumulants_rows),
+    (["limit", "--d", "4", "--lambda", "0", "--n", "200"], _limit_rows),
+    (["regimes", "--d", "2", "--lambda", "0.5", "--R", "2,3", "--n", "200", "--seed", "1",
+      "--multiplier", "0.5"], _regimes_rows),
+], ids=["crofton", "variance", "cumulants", "limit", "regimes"])
+def test_csv_fields_read_back_to_library_values(tmp_path, argv, expected):
+    """Exact header; every field parses back to the library's value exactly."""
+    base = str(tmp_path / "out")
+    assert cli.main(argv + ["--out", base]) == 0
+    for suffix, (header, rows) in expected(base).items():
+        head, *lines = Path(base + suffix).read_text(encoding="utf-8").splitlines()
+        assert head == ",".join(header)
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            fields = line.split(",")
+            assert len(fields) == len(row)
+            for text, value in zip(fields, row):
+                got = int(text) if isinstance(value, int) else float(text)
+                assert got == value or (math.isnan(got) and math.isnan(value)), (text, value)
 
 
 def test_regimes_command_csv(tmp_path):

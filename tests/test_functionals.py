@@ -35,8 +35,6 @@ from hypfluct.functionals import (
     total_surface_area,
     variance,
     variance_order,
-    write_cumulant_csv,
-    write_surface_csv,
 )
 from hypfluct.hyperbolic import intersection_volume, intersection_volume_bound
 
@@ -144,6 +142,26 @@ def test_cumulant_integral_domain():
 def test_cumulant_integral_small_radius_vanishes():
     config = ModelConfig(d=2, lam=0.0, R=1e-4)
     assert variance(config) < 1e-10
+
+
+def test_cumulant_integral_beyond_kernel_range():
+    """Where the linear kernel or the intensity overflows, I_k is the plain
+    value: inf beyond double range, and the finite value where it is not."""
+    assert cumulant_integral(ModelConfig(d=4, lam=0.0, R=400.0), 2) == math.inf
+    assert cumulant_integral(ModelConfig(d=2, lam=1.0, R=800.0), 2) == math.inf
+    assert cumulant_integral(ModelConfig(d=4, lam=0.5, R=800.0), 3) == math.inf
+    # d = 2, lambda = 0, R = 400: sqrt(x (x + 2)) overflows in the kernel,
+    # while I_2 = int (2 rho)^2 cosh s ds is about 7.7e174
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        R = mpmath.mpf(400)
+        f = lambda s: 4 * mpmath.acosh(mpmath.cosh(R) / mpmath.cosh(s)) ** 2 * mpmath.cosh(s)
+        exact = float(2 * mpmath.quad(f, [0, R - 40, R - 10, R - 2, R - 0.5, R]))
+    got = cumulant_integral(ModelConfig(d=2, lam=0.0, R=400.0), 2)
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+    scaled = cumulant_integral(
+        ModelConfig(d=2, lam=0.0, R=400.0, intensity_multiplier=2.5), 2)
+    assert scaled == pytest.approx(2.5 * got, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +352,3 @@ def test_simulate_surface_memory_is_bounded():
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
     assert peak_mb <= 400.0
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def test_write_cumulant_csv_roundtrip(tmp_path):
-    rows = [(2, 0.0, 3.0, 2, 123.4567890123), (3, 0.5, 2.0, 3, 1e-15)]
-    path = tmp_path / "cum.csv"
-    write_cumulant_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "d,lambda,R,k,I_value"
-    d, lam, R, k, val = lines[1].split(",")
-    assert (int(d), float(lam), float(R), int(k)) == (2, 0.0, 3.0, 2)
-    assert float(val) == 123.4567890123
-
-
-def test_write_surface_csv(tmp_path):
-    path = tmp_path / "surf.csv"
-    write_surface_csv(path, [1.5, 2.5], [1.0, 2.0], [0.5, 0.5])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "replicate,S,S_plus,S_minus"
-    assert lines[1] == "0,1.5,1.0,0.5"

@@ -24,8 +24,6 @@ from hypfluct.limitlaw import (
     tail_third_cumulant,
     tail_variance,
     truncated_variance,
-    write_cdf_csv,
-    write_cf_csv,
 )
 from hypfluct.sampling import zeta_mean_count
 from hypfluct.stats import ks_distance
@@ -327,25 +325,3 @@ def test_sample_limit_matches_inversion_cdf(spec4):
     F = cdf_via_inversion(spec4, x)
     ks = ks_distance(draws, lambda v: np.interp(v, x, F, left=0.0, right=1.0))
     assert ks < 0.015
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def test_write_cf_and_cdf_csv(tmp_path, spec4):
-    t = np.array([0.0, 1.0])
-    psi = characteristic_function(spec4, t)
-    pcf = tmp_path / "cf.csv"
-    write_cf_csv(pcf, t, psi)
-    lines = pcf.read_text().strip().splitlines()
-    assert lines[0] == "t,re_psi,im_psi"
-    assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
-
-    x = np.array([-1.0, 0.0, 1.0])
-    F = cdf_via_inversion(spec4, x)
-    pcd = tmp_path / "cdf.csv"
-    write_cdf_csv(pcd, x, F)
-    lines = pcd.read_text().strip().splitlines()
-    assert lines[0] == "x,F"
-    assert len(lines) == 4

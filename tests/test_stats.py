@@ -16,7 +16,6 @@ from hypfluct.stats import (
     normal_cdf,
     regime_report,
     wasserstein1,
-    write_report_csv,
     REPORT_COLUMNS,
 )
 
@@ -154,13 +153,3 @@ def test_regime_report_d4_has_limit_distances():
     assert math.isfinite(row["ks_limit"])
     assert math.isfinite(row["w1_limit"])
     assert row["be_indicator"] > 0.25
-
-
-def test_write_report_csv(tmp_path):
-    rows = regime_report(2, 0.0, [3.0], 100, seed=1)
-    path = tmp_path / "report.csv"
-    write_report_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(REPORT_COLUMNS)
-    assert len(lines) == 2
-    assert len(lines[1].split(",")) == len(REPORT_COLUMNS)
