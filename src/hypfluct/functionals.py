@@ -25,8 +25,7 @@ from .hyperbolic import (
     logcosh,
     sphere_area,
 )
-from .sampling import (intensity_density, inverse_cdf, make_rng, mean_count,
-                       poisson_block_sums)
+from .sampling import inverse_cdf, make_rng, mean_count, poisson_block_sums
 
 MAX_CUMULANT_ORDER = 8
 REPLICATES_PER_STREAM = 256
@@ -76,38 +75,27 @@ def expected_surface_area(config: ModelConfig) -> float:
 def _cumulant_quadrature(config: ModelConfig, k: int) -> float:
     """I_k(R) = int vol(s)^k Lambda(ds) by one vectorized tanh-sinh rule.
 
-    log f = k log vol + log Lambda, with the volumes of the kernel the sampler
-    sums, on [-R, c] and [c, R] in one call: c = min(Delta, R) for lambda < 1,
-    0 for horospheres.  The double-exponential rule takes the algebraic edge
-    vol ~ (R - |s|)^{(d-1)/2} at full accuracy (Takahasi & Mori, Publ. RIMS 9,
-    1974).  Error budget: each half stops at an estimated 1e-12 relative; the
-    result is within ~3e-14 of mpmath and the closed forms for k = 1..4,
-    d <= 8 and R from 1e-4 to 20.  Where the linear kernel or the intensity
-    overflows, the rule is run again over the overflow-safe scalar log-space
-    path, so a value beyond double range comes back as inf.
+    log f = k log vol + log Lambda over the log-space path of
+    :mod:`hypfluct.hyperbolic`, on [-R, c] and [c, R] in one call:
+    c = min(Delta, R) for lambda < 1, 0 for horospheres.  The double-exponential
+    rule takes the algebraic edge vol ~ (R - |s|)^{(d-1)/2} at full accuracy
+    (Takahasi & Mori, Publ. RIMS 9, 1974).  Error budget: each half stops at an
+    estimated 1e-12 relative; the result is within ~3e-14 of mpmath and the
+    closed forms for k = 1..4, d <= 8 and R from 1e-4 to 20.  Nothing
+    overflows at any R, and a value beyond double range comes back as inf.
     """
     R = config.R
     geom = config.geometry
 
     def log_f(s):
-        with np.errstate(divide="ignore", over="raise"):   # log 0 = -inf at |s| = R
-            return (k * np.log(_batch_volumes(config, s))
-                    + np.log(intensity_density(config, s)))
-
-    def log_f_wide(s):          # the scalar log-space path: no overflow at any R
-        x = s.ravel()
-        log_dens = (-x if geom.is_horospheric else math.log(geom.mu)
-                    + np.logaddexp(x - geom.delta, geom.delta - x) - math.log(2.0))
-        log_vol = np.array([log_intersection_volume(config, v) for v in x])
-        return (k * log_vol + (config.d - 1) * log_dens
-                + math.log(config.intensity_multiplier)).reshape(s.shape)
+        # Lambda(ds) = multiplier (mu cosh(s - Delta))^{d-1}, or e^{-(d-1)s}
+        log_dens = -s if geom.is_horospheric else math.log(geom.mu) + logcosh(s - geom.delta)
+        return (k * log_intersection_volume(config, s) + (config.d - 1) * log_dens
+                + math.log(config.intensity_multiplier))
 
     c = 0.0 if geom.is_horospheric else min(geom.delta, R)
     a, b = np.array([-R, c]), np.array([c, R])
-    try:
-        res = tanhsinh(log_f, a, b, log=True, rtol=math.log(1e-12))
-    except (OverflowError, FloatingPointError):
-        res = tanhsinh(log_f_wide, a, b, log=True, rtol=math.log(1e-12))
+    res = tanhsinh(log_f, a, b, log=True, rtol=math.log(1e-12))
     log_total = float(np.logaddexp.reduce(res.integral))
     if not np.all(res.success | (a == b)):    # an empty half [R, R] is exact
         achieved = float(np.exp(np.logaddexp.reduce(res.error) - log_total))
@@ -200,10 +188,11 @@ def berry_esseen_indicator(config: ModelConfig) -> float:
 def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     """Simulate n_replicates values of the surface functional.
 
-    Returns (S, S_plus, S_minus) float arrays; a value depends only on
-    (config, seed, replicate).  Block b of REPLICATES_PER_STREAM replicates
-    draws its Poisson counts, then its uniforms in replicate order, from the
-    stream (seed, b).  About max(POINT_BUDGET, one replicate) points are held.
+    Returns (S, S_plus, S_minus) float arrays.  Block b of REPLICATES_PER_STREAM
+    replicates draws its Poisson counts, then its uniforms in replicate order,
+    from the stream (seed, b), so a value depends only on (config, seed,
+    replicate), and on n too in a partial last block.  About
+    max(POINT_BUDGET, one replicate) points are held.
     """
     def sums_of(p, offsets):
         s = inverse_cdf(config, p)

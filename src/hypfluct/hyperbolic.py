@@ -8,7 +8,9 @@ with :func:`exp_or_inf`, which gives inf when the value exceeds double range.
 Every section formula is built from one quantity, log x with
 x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), and
 cosh R - cosh s is taken as the product 2 sinh((R+|s|)/2) sinh((R-|s|)/2),
-which has no cancellation as |s| -> R.
+which has no cancellation as |s| -> R.  The log-space functions take a float
+or an array: each branch runs on the whole array from an input clamped to its
+own range and np.where picks, so a discarded branch neither warns nor leaks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, UnsupportedDimensionError
@@ -34,20 +37,20 @@ SERIES_TOL = 1e-16
 # log-space elementary helpers
 # ---------------------------------------------------------------------------
 
-def logcosh(x: float) -> float:
-    """log(cosh x), valid for any |x| (no overflow)."""
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - LOG2
+def logcosh(x):
+    """log(cosh x) for a float or an array, valid for any |x| (no overflow)."""
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - LOG2
 
 
-def logsinh(x: float) -> float:
-    """log(sinh x) for x > 0."""
-    if x <= 0.0:
+def logsinh(x):
+    """log(sinh x) for a float or an array of x > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= 0.0):
         raise DomainError("logsinh requires x > 0")
-    if x < 1e-8:
-        return math.log(x)
-    # expm1 avoids the 1 - e^{-2x} cancellation for small x
-    return x + math.log(-math.expm1(-2.0 * x)) - LOG2
+    # expm1 avoids the 1 - e^{-2x} cancellation; below 1e-8, sinh x = x
+    big = np.maximum(x, 1e-8)
+    return np.where(x < 1e-8, np.log(x), big + np.log(-np.expm1(-2.0 * big)) - LOG2)[()]
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -68,24 +71,23 @@ def arcosh(t: float) -> float:
     return math.log(t) + LOG2
 
 
-def arcosh1p_from_log(log_x: float) -> float:
-    """arcosh(1 + x) given log x, for any x >= 0 (0 at log x = -inf)."""
-    if log_x > 40.0:
-        # arcosh(1 + x) = log(2x) + O(1/x), and 1/x < 5e-18
-        return log_x + LOG2
-    x = math.exp(log_x)
-    return math.log1p(x + math.sqrt(x * (x + 2.0)))
+def arcosh1p_from_log(log_x):
+    """arcosh(1 + x) given log x, for a float or an array (0 at log x = -inf)."""
+    # above log x = 40, arcosh(1 + x) = log(2x) + O(1/x), and 1/x < 5e-18
+    x = np.exp(np.minimum(log_x, 40.0))
+    return np.where(log_x > 40.0, log_x + LOG2, np.log1p(x + np.sqrt(x * (x + 2.0))))[()]
 
 
-def _log_cosh_gap(A: float, s: float) -> float:
+def _log_cosh_gap(A: float, s):
     """log(cosh A - cosh s) = log 2 + logsinh((A+|s|)/2) + logsinh((A-|s|)/2).
 
-    The product has no cancellation as |s| -> A; -inf when |s| >= A.
+    The product has no cancellation as |s| -> A; -inf when |s| >= A, any A.
     """
-    a = abs(s)
-    if a >= A:
-        return -math.inf
-    return LOG2 + logsinh(0.5 * (A + a)) + logsinh(0.5 * (A - a))
+    a = np.abs(s)
+    inside = a < A
+    hi = np.where(inside, 0.5 * (A + a), 1.0)
+    lo = np.where(inside, 0.5 * (A - a), 1.0)
+    return np.where(inside, LOG2 + logsinh(hi) + logsinh(lo), -np.inf)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +209,10 @@ def ball_volume(d: int, R: float) -> float:
 # section radius rho(s; R) and bounds
 # ---------------------------------------------------------------------------
 
-def _log_section_x(geom: LambdaGeometry, s: float, R: float) -> float:
+def _log_section_x(geom: LambdaGeometry, s, R: float):
     """log x, x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta), lambda < 1.
 
-    -inf (rho = 0) when |s| >= R.
+    For a float or an array s; -inf (rho = 0) when |s| >= R.
     """
     return math.log(geom.mu) + _log_cosh_gap(R, s) - logcosh(s - geom.delta)
 
@@ -308,12 +310,12 @@ def horner(coeffs, x):
     return acc
 
 
-def log_sinh_power_integral(n: int, log_x: float) -> float:
+def log_sinh_power_integral(n: int, log_x):
     """log of J_n = int_0^rho sinh^n(u) du given log x, x = cosh rho - 1.
 
-    Exact for every n >= 0, through J_n = int_0^x (t (t + 2))^{(n-1)/2} dt;
-    log x = -inf (rho = 0) gives -inf.  The radius itself is
-    rho = :func:`arcosh1p_from_log` (log x).
+    Exact for every n >= 0, through J_n = int_0^x (t (t + 2))^{(n-1)/2} dt, for
+    a float or an array log x; log x = -inf (rho = 0) gives -inf.  The radius
+    itself is rho = :func:`arcosh1p_from_log` (log x).
 
     * n = 0: J_0 = rho.
     * odd n = 2m + 1: the polynomial of :func:`odd_power_coefficients`, whose
@@ -337,30 +339,31 @@ def log_sinh_power_integral(n: int, log_x: float) -> float:
     log x = log 2 + 2 logsinh(rho/2), log J_n is off by at most 1.4e-15
     (n <= 4) and 2.9e-14 (n <= 10) beyond two ulps of itself.
     """
-    if log_x == -math.inf:
-        return -math.inf
+    log_x = np.asarray(log_x, dtype=np.float64)
     if n == 0:
-        return math.log(arcosh1p_from_log(log_x))
+        with np.errstate(divide="ignore"):    # log 0 = -inf at rho = 0
+            return np.log(arcosh1p_from_log(log_x))[()]
     m, odd = divmod(n, 2)
     if odd:
         coeffs = odd_power_coefficients(m)
-        if log_x <= 0.0:
-            return (m + 1) * log_x + math.log(horner(coeffs, math.exp(log_x)))
-        return n * log_x + math.log(horner(coeffs[::-1], math.exp(-log_x)))
-    if log_x < LOG_SERIES_CUTOFF:
-        return ((m + 0.5) * log_x
-                + math.log(horner(even_series_coefficients(m), math.exp(log_x))))
-    rho_val = arcosh1p_from_log(log_x)
+        small, big = np.minimum(log_x, 0.0), np.maximum(log_x, 0.0)
+        return np.where(log_x <= 0.0,
+                        (m + 1) * small + np.log(horner(coeffs, np.exp(small))),
+                        n * big + np.log(horner(coeffs[::-1], np.exp(-big))))[()]
+    series = ((m + 0.5) * log_x + np.log(horner(
+        even_series_coefficients(m), np.exp(np.minimum(log_x, LOG_SERIES_CUTOFF)))))
+    rho_val = arcosh1p_from_log(np.maximum(log_x, LOG_SERIES_CUTOFF))
     log_sh = logsinh(rho_val)
-    inv_sh2 = math.exp(-2.0 * log_sh)
-    r = rho_val * math.tanh(rho_val)
+    inv_sh2 = np.exp(-2.0 * log_sh)
+    r = rho_val * np.tanh(rho_val)
     for k in range(2, n + 1, 2):
         r = 1.0 / k - (k - 1.0) / k * r * inv_sh2
-    return (n - 1) * log_sh + logcosh(rho_val) + math.log(r)
+    reduction = (n - 1) * log_sh + logcosh(rho_val) + np.log(r)
+    return np.where(log_x < LOG_SERIES_CUTOFF, series, reduction)[()]
 
 
-def log_intersection_volume(config: ModelConfig, s: float) -> float:
-    """log of the (d-1)-volume of H(s) cap B_R^d (-inf when empty)."""
+def log_intersection_volume(config: ModelConfig, s):
+    """log of the (d-1)-volume of H(s) cap B_R^d (-inf when empty), s float or array."""
     d, R = config.d, config.R
     geom = config.geometry
     if geom.is_horospheric:

@@ -5,7 +5,7 @@ omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
 n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
 
 * odd n: a polynomial in x with positive coefficients, exact up to rounding;
-* n = 0: rho = log1p(x + sqrt(x (x + 2)));
+* n = 0: rho = log1p(x + sqrt(x) sqrt(x + 2)), which does not overflow;
 * even n >= 2: the reduction J_k = sinh^{k-1} cosh / k - (k-1)/k J_{k-2},
   replaced below x = SERIES_CUTOFF (0.25) by a binomial series whose dropped
   tail is below 1.5e-17 relative.
@@ -14,17 +14,18 @@ The kernel forms cosh R - cosh s as 2 (sinh^2(R/2) - sinh^2(s/2)), which
 costs about eps (cosh R - 1) / (cosh R - cosh s) relative: the error grows
 only as |s| -> R, where the volume is negligible, not as R -> 0, where the
 plain difference of cosh values costs eps / (cosh R - cosh s) (4e-7 at
-R = 1e-4).  The scalar path's product 2 sinh((R+|s|)/2) sinh((R-|s|)/2) has
-no cancellation at all but is slower per block.  Horospheres take
+R = 1e-4).  The log-space path's product 2 sinh((R+|s|)/2) sinh((R-|s|)/2)
+has no cancellation at all but costs more transcendentals.  Horospheres take
 kappa_{d-1} (2 e^{s/2} sqrt(sinh^2(R/2) - sinh^2(s/2)))^{d-1}, which never
 forms e^{2R}.
 
 Measured against 50-digit mpmath, the relative error of J_n given x is at most
-1.2e-15 for n <= 4, 3.0e-15 at n = 6 and 1.1e-14 at n = 10.  The kernels
-work in linear space, which is fine while the volume, of order e^{(d-2)R}
-(e^{(d-1)R} for horospheres), stays in float range; the overflow-safe
-log-space scalar path of the same closed form is
-:func:`hypfluct.hyperbolic.log_sinh_power_integral`.  Segment sums use
+1.2e-15 for n <= 4, 3.0e-15 at n = 6 and 1.1e-14 at n = 10.  These kernels
+serve the sampler and ``total_surface_area`` only: they work in linear space,
+which is fine for the volumes of a simulated ball, of order e^{(d-2)R}
+(e^{(d-1)R} for horospheres).  Everything else (moment integrals, single
+volumes, radii) takes the overflow-safe log-space path of the same closed
+form, :func:`hypfluct.hyperbolic.log_intersection_volume`.  Segment sums use
 ``np.add.reduceat``.
 """
 
@@ -51,7 +52,8 @@ def _sinh_power_integral(n, x):
     if odd:
         return x ** (m + 1) * horner(odd_power_coefficients(m), x)
     if n == 0:
-        return np.log1p(x + np.sqrt(x * (x + 2.0)))
+        # sqrt(x) sqrt(x + 2), unlike sqrt(x (x + 2)), does not form x^2
+        return np.log1p(x + np.sqrt(x) * np.sqrt(x + 2.0))
     # the reduction formula and the series both on the whole block; the series
     # replaces the reduction below the cut-off, where the latter cancels
     sh = np.sqrt(x * (x + 2.0))

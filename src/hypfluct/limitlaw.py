@@ -261,7 +261,9 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     Gaussian carrying the small-jump tail variance.  Block b of
     DRAWS_PER_STREAM draws takes its jump counts, its jump uniforms in draw
     order, then its tail normals from the stream (seed, b); about
-    max(POINT_BUDGET, one draw) jumps are held at once.
+    max(POINT_BUDGET, one draw) jumps are held at once.  A draw depends only
+    on (spec, seed, draw index), except in a partial last block (n not a
+    multiple of DRAWS_PER_STREAM): there it depends on n too.
     """
     mean_jumps = zeta_mean_count(spec.d, spec.lam, spec.T0, spec.rate)
     compensator = spec.rate * math.sinh(spec.T0)

@@ -220,7 +220,9 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
     offsets) reduces the uniforms p of whole replicates (i-th at offsets[i])
     to sums along its last axis, max(1, POINT_BUDGET // ceil(mean)) replicates
     per call, so no sum depends on the budget.  A block is yielded after all
-    its uniforms are drawn, for the caller to draw more from rng.
+    its uniforms are drawn, for the caller to draw more from rng.  The last
+    block draws counts for its m < block replicates only, so its uniforms,
+    and its sums, depend on m and hence on n.
     """
     per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):

@@ -63,6 +63,17 @@ def test_total_surface_area_sign_split():
     assert result.positive_part == pytest.approx(pos, rel=1e-10)
 
 
+def test_total_surface_area_d2_beyond_square_range():
+    # d = 2, R = 400: x = cosh rho - 1 reaches ~1e173, so x (x + 2) would
+    # overflow; the sum is 2R + 2 arcosh(cosh R / cosh 100) = 800 + 601.39...
+    config = ModelConfig(d=2, lam=0.0, R=400.0)
+    s = np.array([0.0, 100.0])
+    result = total_surface_area(ProcessSample(config=config, s=s, u=None, seed=0))
+    expected = math.fsum(intersection_volume(config, float(v)) for v in s)
+    assert result.positive_part == pytest.approx(expected, rel=1e-14)
+    assert result.negative_part == 0.0
+
+
 # ---------------------------------------------------------------------------
 # moment integrals
 # ---------------------------------------------------------------------------
@@ -145,13 +156,14 @@ def test_cumulant_integral_small_radius_vanishes():
 
 
 def test_cumulant_integral_beyond_kernel_range():
-    """Where the linear kernel or the intensity overflows, I_k is the plain
-    value: inf beyond double range, and the finite value where it is not."""
+    """At R of several hundred, where linear-space volumes or the intensity
+    would overflow, the log-space rule gives the plain value: inf beyond
+    double range, and the finite value where it is not."""
     assert cumulant_integral(ModelConfig(d=4, lam=0.0, R=400.0), 2) == math.inf
     assert cumulant_integral(ModelConfig(d=2, lam=1.0, R=800.0), 2) == math.inf
     assert cumulant_integral(ModelConfig(d=4, lam=0.5, R=800.0), 3) == math.inf
-    # d = 2, lambda = 0, R = 400: sqrt(x (x + 2)) overflows in the kernel,
-    # while I_2 = int (2 rho)^2 cosh s ds is about 7.7e174
+    # d = 2, lambda = 0, R = 400: x = cosh rho - 1 reaches ~1e173, while
+    # I_2 = int (2 rho)^2 cosh s ds is about 7.7e174
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         R = mpmath.mpf(400)

@@ -132,12 +132,16 @@ def test_log_sinh_power_integral_against_mpmath(n):
     which has no cancellation and shares nothing with the series, the
     polynomial or the reduction formula of the code.  The radii cover the
     old n = 2, rho < 0.1 branch and both sides of the even-n series cut-off
-    at rho = arcosh(1.25) = log 2.
+    at rho = arcosh(1.25) = log 2.  All radii go in one array call, which
+    mixes the series with the reduction and small x with huge x.
     """
     mpmath = pytest.importorskip("mpmath")
+    radii = np.array([1e-6, 1e-3, 0.05, 0.5, 0.69, 0.7, 3.0, 30.0, 700.0])
+    got = log_sinh_power_integral(n, LOG2 + 2.0 * logsinh(0.5 * radii))
+    assert got.shape == radii.shape
     with mpmath.workdps(50):
-        for rho_val in (1e-6, 1e-3, 0.05, 0.5, 0.69, 0.7, 3.0, 30.0, 700.0):
-            sh = mpmath.sinh(mpmath.mpf(rho_val))
+        for rho_val, got_i in zip(radii, got):
+            sh = mpmath.sinh(mpmath.mpf(float(rho_val)))
             exact = (sh ** (n + 1) / (n + 1)
                      * mpmath.hyp2f1(0.5, mpmath.mpf(n + 1) / 2,
                                      mpmath.mpf(n + 3) / 2, -sh ** 2))
@@ -145,9 +149,7 @@ def test_log_sinh_power_integral_against_mpmath(n):
             # relative 1e-13 in J_n, plus the rounding of log J_n itself
             # (one ulp of log J_7(700) = 4893.2 is 9e-13)
             tol = 1e-13 + 4.0 * math.ulp(abs(log_exact))
-            log_x = LOG2 + 2.0 * logsinh(0.5 * rho_val)
-            got = log_sinh_power_integral(n, log_x)
-            assert abs(got - log_exact) <= tol, (n, rho_val, got - log_exact)
+            assert abs(got_i - log_exact) <= tol, (n, rho_val, got_i - log_exact)
 
 
 def test_log_sinh_power_integral_edges():
@@ -161,6 +163,18 @@ def test_log_sinh_power_integral_edges():
     for n in (2, 5, 12, 40):
         lead = (n - 1) * logsinh(60.0) + logcosh(60.0) - math.log(n)
         assert log_sinh_power_integral(n, log_x) == pytest.approx(lead, rel=1e-15)
+    # -inf among finite log x, on every branch: only its own element is -inf
+    mixed = np.array([-3.0, -math.inf, -0.5, 0.5, -math.inf, 700.0])
+    for n in range(6):
+        got = log_sinh_power_integral(n, mixed)
+        assert np.array_equal(np.isneginf(got), np.isneginf(mixed)), n
+        assert np.all(np.isfinite(got[np.isfinite(mixed)])), n
+
+
+def test_logsinh_rejects_nonpositive_float_and_array():
+    for bad in (0.0, -1.0, np.array([1.0, 0.0]), np.array([[2.0], [-1e-300]])):
+        with pytest.raises(DomainError):
+            logsinh(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +263,16 @@ def test_rho_bounds_hold_on_randomized_grid():
     assert violations == 0
 
 
+def test_rho_bounds_where_shifted_radius_is_not_positive():
+    # R - Delta <= 0: the lower arcosh bound is 0, nothing raises
+    geom = lambda_geometry(0.9)             # Delta = 1.47
+    for s, R in ((0.1, 0.3), (0.3, 0.3), (-0.3, 0.3), (1.0, 1.47), (0.0, 1e-4)):
+        alo, ahi, llo, lhi = rho_bounds(geom, s, R)
+        r = rho(geom, s, R)
+        assert alo == 0.0
+        assert alo <= r <= ahi + 1e-12 and llo <= r <= lhi
+
+
 def test_rho_finite_at_huge_radius():
     geom = lambda_geometry(0.5)
     r = rho(geom, 100.0, 700.0)
@@ -323,6 +347,24 @@ def test_asymptote_ratio_monotone_to_one():
                       / intersection_volume_asymptote(config, s))
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_log_intersection_volume_array_equals_float_calls(d, lam):
+    """One array call equals its per-element float calls bit for bit.
+
+    s runs past +-R, so empty sections (-inf), the edge and the interior sit
+    in one array; a masked branch that leaked across elements would show.
+    """
+    for R in (1e-4, 0.5, 4.0, 30.0):
+        config = ModelConfig(d=d, lam=lam, R=R)
+        s = np.concatenate((np.linspace(-1.5 * R, 1.5 * R, 61), [-R, R, 0.0]))
+        got = log_intersection_volume(config, s)
+        want = np.array([log_intersection_volume(config, float(v)) for v in s])
+        assert np.array_equal(got, want), R
+        assert np.all(np.isneginf(got[np.abs(s) >= R]))
+        assert np.all(np.isfinite(got[np.abs(s) < R]))
 
 
 def test_log_intersection_volume_finite_at_huge_radius():

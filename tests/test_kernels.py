@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hypfluct import kernels
-from hypfluct.hyperbolic import ModelConfig, ball_kappa, intersection_volume
+from hypfluct.hyperbolic import (ModelConfig, ball_kappa, intersection_volume,
+                                 log_intersection_volume)
 
 
 def _random_inputs(seed, d, lam, R=4.0, n=5000):
@@ -24,10 +25,9 @@ def test_section_volumes_match_scalar_path(d, lam):
         config = ModelConfig(d=d, lam=lam, R=R)
         s, mu, delta = _random_inputs(0, d, lam, R)
         vols = kernels.section_volumes(s, R, d, lam, mu, delta, ball_kappa(d - 1))
-        # spot-check 50 points against the log-space scalar evaluation
-        for i in range(0, len(s), 100):
-            expected = intersection_volume(config, float(s[i]))
-            assert vols[i] == pytest.approx(expected, rel=1e-10, abs=0.0), R
+        # every point against one call of the log-space path
+        expected = np.exp(log_intersection_volume(config, s))
+        np.testing.assert_allclose(vols, expected, rtol=1e-10, atol=0.0, err_msg=str(R))
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
