@@ -9,7 +9,9 @@ generator, so values do not depend on execution order or memory budget.
 Every density sampled here is cosh^n on an interval [a, b] (the s-density in
 u = s - Delta, with n = d - 1), and one exact quantile serves them all: it
 solves K_n(u) = K_n(a) + p (K_n(b) - K_n(a)) with K_n = int_0^u cosh^n in closed
-form, by arcsinh at n = 1 and by Halley steps for n >= 2.  |F(Q(p)) - p| is
+form, by arcsinh at n = 1.  For n >= 2 every point takes two Halley steps,
+and a point whose last step e still has n^2 e^3 > 4 n eps u (the bound on the
+error that step leaves) goes on alone until one does.  |F(Q(p)) - p| is
 within a few ulps, and the error in s is about eps max|K_n| / cosh^n(s).
 """
 
@@ -26,8 +28,10 @@ from .errors import DomainError, QuadratureError, UnsupportedDimensionError
 from .hyperbolic import ModelConfig
 from .kernels import BLOCK
 
-HALLEY_MAX_STEPS = 12  # 3-8 steps converge for n <= 60, t in [1e-300, K_n(700/n)]
-# steps below 4 n ulps of u are rounding noise of the n-term reduction for K_n
+# 2-9 steps converge for n <= 60, t in [1e-300, K_n(700/n)]; 2-3 for n <= 5
+HALLEY_MAX_STEPS = 12
+# a point stops once the n^2 e^3 error bound of its step e is within 4 n ulps
+# of u: the n-term reduction for K_n rounds about n times
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # points poisson_block_sums draws and reduces at once, in whole replicates
 POINT_BUDGET = 1 << 20
@@ -79,18 +83,22 @@ def mean_count(config: ModelConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _cosh_power_primitive(n: int, u):
-    """(K_n(u), cosh^n u) for a float or an array u; K_n(u) = int_0^u cosh^n.
-
-    By K_k = sinh cosh^{k-1} / k + (k-1)/k K_{k-2} from K_0 = u or K_1 = sinh u;
-    every term has the sign of u, so nothing cancels.
-    """
+    """(K_n(u), cosh^n u) for a float or an array u; K_n(u) = int_0^u cosh^n."""
     # a float goes through math, so the d = 2 quantile stays exactly
     # delta + arcsinh(sinh a + p (sinh b - sinh a)) with the math.sinh endpoints
     if isinstance(u, float):
-        sh, ch = math.sinh(u), math.cosh(u)
-    else:
-        u = np.asarray(u, dtype=np.float64)
-        sh, ch = np.sinh(u), np.cosh(u)
+        return _cosh_power_reduction(n, u, math.sinh(u), math.cosh(u))
+    u = np.asarray(u, dtype=np.float64)
+    return _cosh_power_reduction(n, u, np.sinh(u), np.cosh(u))
+
+
+def _cosh_power_reduction(n: int, u, sh, ch):
+    """(K_n(u), cosh^n u) from sh = sinh u and ch = cosh u.
+
+    By K_k = sinh cosh^{k-1} / k + (k-1)/k K_{k-2} from K_0 = u or K_1 = sinh u;
+    every term has the sign of u, so nothing cancels.  For n >= 2 both
+    results are new, so a caller may overwrite sh and ch.
+    """
     K, ch_pow = (sh, ch) if n % 2 else (u, 1.0)
     for k in range(2 + n % 2, n + 1, 2):
         ch_pow = ch_pow * ch                      # cosh^{k-1}
@@ -99,46 +107,95 @@ def _cosh_power_primitive(n: int, u):
     return K, ch_pow
 
 
+def _halley_step(n: int, a, u):
+    """One Halley step on K_n(u) = a, n >= 2, in place on u; returns the step."""
+    sh, ch = np.sinh(u), np.cosh(u)
+    e, dK = _cosh_power_reduction(n, u, sh, ch)
+    e -= a
+    e /= dK                                       # Newton step (K_n - a) / K_n'
+    sh /= ch                                      # tanh u; K_n''/K_n' = n tanh u
+    sh *= e
+    sh *= -0.5 * n
+    sh += 1.0
+    e /= sh
+    u -= e
+    return e
+
+
+def _halley_converged(n: int, e, u):
+    """Where the Halley step e to u leaves an error below HALLEY_TOL_PER_N n u.
+
+    As K_n''/K_n' = n tanh u and K_n'''/K_n' = n (n - 1) tanh^2 u + n, the
+    error after a step of size e is below n^2 e^3.  Overwrites e.
+    """
+    bound = e * e
+    bound *= np.abs(e, out=e)
+    bound *= n
+    return bound <= HALLEY_TOL_PER_N * u
+
+
 def _cosh_power_inverse(n: int, t):
     """The u with K_n(u) = t, for an array t and n >= 1."""
     t = np.asarray(t, dtype=np.float64)
     if n == 1:
         return np.arcsinh(t)
-    a = np.abs(t)
+    a = np.abs(t.reshape(-1))
     # K_n(u) >= u and K_n(u) >= (e^{nu} - 1) / (n 2^n): u starts above the root,
     # and Halley steps on the convex increasing K_n stay above it
     u = np.minimum(a, np.log1p(n * 2.0 ** n * a) / n)
-    # K_n'' / K_n' = n tanh u; a point stops at its own first step within
-    # tolerance, so its root does not depend on the other points of the array
-    frozen = np.zeros(np.shape(u), dtype=bool)
-    for _ in range(HALLEY_MAX_STEPS):
-        K, dK = _cosh_power_primitive(n, u)
-        r = (K - a) / dK
-        step = np.where(frozen, 0.0, r / (1.0 - 0.5 * n * r * np.tanh(u)))
-        u -= step
-        frozen |= np.abs(step) <= n * HALLEY_TOL_PER_N * u
-        if frozen.all():
-            return np.copysign(u, t)
-    raise QuadratureError(f"cosh^{n} inverse did not converge in "
-                          f"{HALLEY_MAX_STEPS} Halley steps")
+    # every point takes two steps; the rest go on alone, each stopping at its
+    # own first converged step, so a root does not depend on the other points
+    _halley_step(n, a, u)
+    todo = np.flatnonzero(~_halley_converged(n, _halley_step(n, a, u), u))
+    for _ in range(HALLEY_MAX_STEPS - 2):
+        if not todo.size:
+            break
+        # repeating the points up to a multiple of 512 keeps the work arrays to
+        # a few sizes: arrays of every length fragmented the heap and raised
+        # the limit-law peak RSS by 8 MB in about 4 runs of 10
+        idx = np.resize(todo, -(-todo.size // 512) * 512)
+        u_todo = u[idx]
+        converged = _halley_converged(n, _halley_step(n, a[idx], u_todo), u_todo)
+        u[idx] = u_todo
+        todo = todo[~converged[:todo.size]]
+    if todo.size:
+        raise QuadratureError(f"cosh^{n} inverse did not converge in "
+                              f"{HALLEY_MAX_STEPS} Halley steps")
+    return np.copysign(u.reshape(t.shape), t)
+
+
+def _unit_extremes(p):
+    """(min, max) of the flat array p, or None if p is empty.
+
+    Raises DomainError if some p lies outside [0, 1]; a NaN passes.
+    """
+    if not p.size:
+        return None
+    lo, hi = p.min(), p.max()
+    # both are NaN if one p is; then only a full scan tells
+    if not (lo >= 0.0 and hi <= 1.0) and np.any((p < 0.0) | (p > 1.0)):
+        raise DomainError("quantile argument must lie in [0, 1]")
+    return lo, hi
 
 
 def _cosh_power_quantile(n: int, a: float, b: float, p):
     """Quantile at p of the density cosh^n on [a, b]; exactly a at 0, b at 1.
 
-    Inverts BLOCK points at a time, into one output array.
+    Checks p as _unit_extremes does, then inverts BLOCK points at a time,
+    into one output array.
     """
-    lo, _ = _cosh_power_primitive(n, a)
-    hi, _ = _cosh_power_primitive(n, b)
     p = np.asarray(p, dtype=np.float64)
     flat = p.reshape(-1)
+    ends = _unit_extremes(flat)
+    lo, _ = _cosh_power_primitive(n, a)
+    hi, _ = _cosh_power_primitive(n, b)
     u = np.empty(flat.size)
     for i in range(0, flat.size, BLOCK):
         u[i:i + BLOCK] = _cosh_power_inverse(n, lo + flat[i:i + BLOCK] * (hi - lo))
     np.maximum(u, a, out=u)
     np.minimum(u, b, out=u)
     # a uniform draw is 0 with chance 2^-53, so the masks are rarely built
-    if flat.size and (flat.min() == 0.0 or flat.max() == 1.0):
+    if ends and (ends[0] == 0.0 or ends[1] == 1.0):
         u[flat == 0.0] = a
         u[flat == 1.0] = b
     return u.reshape(p.shape)
@@ -147,16 +204,15 @@ def _cosh_power_quantile(n: int, a: float, b: float, p):
 def inverse_cdf(config: ModelConfig, p):
     """Quantile function of the normalized s-density on [-R, R]."""
     p_arr = np.asarray(p, dtype=np.float64)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)):
-        raise DomainError("quantile argument must lie in [0, 1]")
     d, R = config.d, config.R
     geom = config.geometry
     if geom.is_horospheric:
+        _unit_extremes(p_arr.reshape(-1))
         a = d - 1
         lo, hi = math.exp(-a * R), math.exp(a * R)
         out = -np.log(hi - p_arr * (hi - lo)) / a
     else:
-        # in u = s - Delta the density is cosh^{d-1}(u)
+        # in u = s - Delta the density is cosh^{d-1}(u); the quantile checks p
         delta = geom.delta
         out = delta + _cosh_power_quantile(d - 1, -R - delta, R - delta, p_arr)
     out = np.clip(out, -R, R)

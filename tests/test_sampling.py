@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypfluct.errors import DomainError, UnsupportedDimensionError
+from hypfluct.errors import DomainError, QuadratureError, UnsupportedDimensionError
 from hypfluct.hyperbolic import ModelConfig
 from hypfluct.sampling import (
     MAGIC,
@@ -153,12 +153,55 @@ def test_cosh_power_quantile_is_exact(n):
     np.testing.assert_allclose(_cosh_power_inverse(n, K), u, rtol=1e-14)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", [*range(2, 8), 15, 30, 60])
+def test_cosh_power_inverse_stop_rule_at_every_n(n):
+    """The n^2 e^3 stop rule ends every point within HALLEY_MAX_STEPS, within
+    4 n ulps of the 40-digit root of the same reduction for K_n."""
+    mpmath = pytest.importorskip("mpmath")
+    top, _ = _cosh_power_primitive(n, 700.0 / n)
+    K3, _ = _cosh_power_primitive(n, 3.0)
+    t = np.concatenate([np.geomspace(1e-300, top, 64), K3 * make_rng(n).random(64)])
+    u = _cosh_power_inverse(n, t)
+
+    def K_mp(x):
+        sh, ch = mpmath.sinh(x), mpmath.cosh(x)
+        K, ch_pow = (sh, ch) if n % 2 else (x, mpmath.mpf(1))
+        for k in range(2 + n % 2, n + 1, 2):
+            ch_pow *= ch
+            K = sh * ch_pow / k + mpmath.mpf(k - 1) / k * K
+            ch_pow *= ch
+        return K
+
+    with mpmath.workdps(40):
+        ref = []
+        for ti, ui in zip(t, u):
+            root = mpmath.mpf(float(ui))
+            for _ in range(4):  # Newton from within a few ulps
+                root -= (K_mp(root) - mpmath.mpf(float(ti))) / mpmath.cosh(root) ** n
+            ref.append(float(root))
+    ref = np.array(ref)
+    assert np.all(np.abs(u - ref) <= 4 * n * np.spacing(ref))
+
+
+def test_cosh_power_inverse_raises_at_step_cap():
+    """A point that never converges, here a NaN, raises QuadratureError once
+    HALLEY_MAX_STEPS steps are spent."""
+    with pytest.raises(QuadratureError):
+        _cosh_power_inverse(3, np.array([1.0, np.nan]))
+
+
+# an index of make_rng(0).random(200_000) whose p needs a third Halley step
+# on [-3.5, 2.5], so its one-element piece cuts the per-point tail of a block
+THIRD_STEP_INDEX = {2: 3, 3: 7, 4: 12, 5: 153, 6: 187, 7: 3563, 15: 55411}
+
+
+@pytest.mark.parametrize("n", [*range(2, 8), 15])
 def test_cosh_power_quantile_is_pointwise(n):
     """A quantile depends only on its own p: 2e5 uniforms cut into pieces
     give the values of the whole array, bit for bit."""
     p = make_rng(0).random(200_000)
-    pieces = np.split(p, [1, 777, 8192, 50_000, 123_457])
+    i = THIRD_STEP_INDEX[n]
+    pieces = np.split(p, sorted([1, 777, 8192, 50_000, 123_457, i, i + 1]))
     for a, b in ((-3.5, 2.5), (-6.5, 5.4), (0.0, 4.0)):
         whole = _cosh_power_quantile(n, a, b, p)
         np.testing.assert_array_equal(
