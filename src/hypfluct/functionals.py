@@ -18,14 +18,15 @@ from . import kernels
 from .errors import DomainError, QuadratureError
 from .hyperbolic import (
     ModelConfig,
-    ball_kappa,
     ball_volume,
     exp_or_inf,
+    lambda_geometry,
     log_intersection_volume,
     logcosh,
-    sphere_area,
+    scale_constant,
 )
-from .sampling import inverse_cdf, make_rng, mean_count, poisson_block_sums
+from .sampling import (inverse_cdf, log_intensity_density, make_rng, mean_count,
+                       poisson_block_sums)
 
 MAX_CUMULANT_ORDER = 8
 REPLICATES_PER_STREAM = 256
@@ -43,12 +44,6 @@ class SurfaceResult:
         return self.positive_part + self.negative_part
 
 
-def _batch_volumes(config: ModelConfig, s: np.ndarray) -> np.ndarray:
-    geom = config.geometry
-    return kernels.section_volumes(s, config.R, config.d, geom.lam, geom.mu,
-                                   geom.delta, ball_kappa(config.d - 1))
-
-
 def total_surface_area(sample) -> SurfaceResult:
     """Sum of section volumes of one ProcessSample, sign-split.
 
@@ -57,7 +52,7 @@ def total_surface_area(sample) -> SurfaceResult:
     s = np.asarray(sample.s, dtype=np.float64)
     if s.size == 0:
         return SurfaceResult(0.0, 0.0)
-    vols = _batch_volumes(sample.config, s)
+    vols = kernels.section_volumes(s, sample.config)
     pos = math.fsum(vols[s >= 0.0])
     neg = math.fsum(vols[s < 0.0])
     return SurfaceResult(positive_part=pos, negative_part=neg)
@@ -88,10 +83,7 @@ def _cumulant_quadrature(config: ModelConfig, k: int) -> float:
     geom = config.geometry
 
     def log_f(s):
-        # Lambda(ds) = multiplier (mu cosh(s - Delta))^{d-1}, or e^{-(d-1)s}
-        log_dens = -s if geom.is_horospheric else math.log(geom.mu) + logcosh(s - geom.delta)
-        return (k * log_intersection_volume(config, s) + (config.d - 1) * log_dens
-                + math.log(config.intensity_multiplier))
+        return k * log_intersection_volume(config, s) + log_intensity_density(config, s)
 
     c = 0.0 if geom.is_horospheric else min(geom.delta, R)
     a, b = np.array([-R, c]), np.array([c, R])
@@ -141,17 +133,15 @@ def cosh_power_integral(h: float) -> float:
 
 def normalized_cumulant_limit(d: int, lam: float, k: int,
                               multiplier: float = 1.0) -> float:
-    """Limit of I_k(R) e^{-k(d-2)R} for d >= 4, lambda < 1."""
+    """Limit multiplier mu^{d-1} c^k B(h/2, 1/2) of I_k(R) e^{-k(d-2)R}, d >= 4, lambda < 1."""
     if d < 4:
         raise DomainError("the normalized cumulant limit requires d >= 4")
-    if lam >= 1.0:
-        raise DomainError("requires lambda < 1")
     if k < 2:
         raise DomainError("requires k >= 2")
     h = k * (d - 2) - (d - 1)
-    mu = math.sqrt(1.0 - lam * lam)
-    c = sphere_area(d - 1) / ((d - 2) * 2.0 ** (d - 2))
-    return multiplier * c ** k * mu ** (d - 1 - k) * cosh_power_integral(h)
+    geom = lambda_geometry(lam)
+    return (multiplier * geom.mu ** (d - 1) * scale_constant(d, geom) ** k
+            * cosh_power_integral(h))
 
 
 def normalized_profile(config: ModelConfig, s: float) -> float:
@@ -167,13 +157,9 @@ def normalized_profile(config: ModelConfig, s: float) -> float:
 
 
 def limit_profile(d: int, lam: float, s: float) -> float:
-    """Pointwise large-R limit of the normalized profile."""
-    if d < 3 or lam >= 1.0:
-        raise DomainError("limit profile requires d >= 3 and lambda < 1")
-    mu = math.sqrt(1.0 - lam * lam)
-    delta = math.atanh(lam)
-    c = sphere_area(d - 1) / ((d - 2) * 2.0 ** (d - 2))
-    return c / mu * math.exp(-(d - 2) * logcosh(s - delta))
+    """Pointwise large-R limit c cosh^{-(d-2)}(s - delta) of the normalized profile."""
+    geom = lambda_geometry(lam)
+    return scale_constant(d, geom) * math.exp(-(d - 2) * logcosh(s - geom.delta))
 
 
 def berry_esseen_indicator(config: ModelConfig) -> float:
@@ -196,7 +182,7 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     """
     def sums_of(p, offsets):
         s = inverse_cdf(config, p)
-        return np.stack(kernels.signed_sums(_batch_volumes(config, s), s, offsets))
+        return np.stack(kernels.signed_sums(kernels.section_volumes(s, config), s, offsets))
 
     sums = np.empty((2, n_replicates))
     for start, _, block_sums in poisson_block_sums(

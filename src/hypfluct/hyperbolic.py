@@ -160,6 +160,19 @@ def lambda_geometry(lam: float) -> LambdaGeometry:
     return LambdaGeometry(lam=lam, theta=theta, mu=mu, m=m, delta=delta)
 
 
+def scale_constant(d: int, geom: LambdaGeometry) -> float:
+    """c_{d,lambda} = omega_{d-1} / ((d-2) 2^{d-2} mu), d >= 3, lambda < 1.
+
+    At large R the section volume tends to c e^{(d-2)R} cosh^{-(d-2)}(s - delta),
+    so c scales the profile, its bound and the d >= 4 limit law.
+    """
+    if d < 3:
+        raise UnsupportedDimensionError("the scale constant requires d >= 3")
+    if geom.is_horospheric:
+        raise UnsupportedDimensionError("the scale constant requires lambda < 1")
+    return sphere_area(d - 1) / ((d - 2) * 2.0 ** (d - 2) * geom.mu)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """A single (d, lambda, R) model with its intensity convention.
@@ -177,10 +190,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.d < 2:
             raise DomainError(f"d must be >= 2, got {self.d}")
-        if self.R <= 0.0:
-            raise DomainError(f"R must be > 0, got {self.R}")
-        if self.intensity_multiplier <= 0.0:
-            raise DomainError("intensity_multiplier must be > 0")
+        if not 0.0 < self.R < math.inf:
+            raise DomainError(f"R must lie in (0, inf), got {self.R}")
+        if not 0.0 < self.intensity_multiplier < math.inf:
+            raise DomainError("intensity_multiplier must lie in (0, inf), "
+                              f"got {self.intensity_multiplier}")
         object.__setattr__(self, "geometry", lambda_geometry(self.lam))
 
 
@@ -381,16 +395,9 @@ def intersection_volume(config: ModelConfig, s: float) -> float:
 
 def log_intersection_volume_bound(config: ModelConfig, s: float) -> float:
     """log of the uniform upper bound on the section volume (d >= 3)."""
-    d = config.d
     geom = config.geometry
-    if d <= 2:
-        raise UnsupportedDimensionError("the volume bound requires d >= 3")
-    if geom.is_horospheric:
-        raise UnsupportedDimensionError("the volume bound requires lambda < 1")
-    delta = geom.delta
-    log_ratio = logcosh(config.R + delta) - logcosh(s - delta)
-    return (math.log(sphere_area(d - 1)) - (d - 1) * math.log(geom.mu)
-            - math.log(d - 2) + (d - 2) * log_ratio)
+    return (math.log(scale_constant(config.d, geom)) + (config.d - 2) * (
+        LOG2 - math.log(geom.mu) + logcosh(config.R + geom.delta) - logcosh(s - geom.delta)))
 
 
 def intersection_volume_bound(config: ModelConfig, s: float) -> float:
@@ -399,15 +406,9 @@ def intersection_volume_bound(config: ModelConfig, s: float) -> float:
 
 def log_intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
     """log of the fixed-s, large-R asymptote of the section volume (d >= 3)."""
-    d = config.d
     geom = config.geometry
-    if d <= 2:
-        raise UnsupportedDimensionError("the asymptote requires d >= 3")
-    if geom.is_horospheric:
-        raise UnsupportedDimensionError("the asymptote requires lambda < 1")
-    return (math.log(sphere_area(d - 1)) - math.log(d - 2) - (d - 2) * LOG2
-            - math.log(geom.mu) + (d - 2) * config.R
-            - (d - 2) * logcosh(s - geom.delta))
+    return (math.log(scale_constant(config.d, geom))
+            + (config.d - 2) * (config.R - logcosh(s - geom.delta)))
 
 
 def intersection_volume_asymptote(config: ModelConfig, s: float) -> float:

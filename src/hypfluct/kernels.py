@@ -1,8 +1,9 @@
 """Hot numeric kernels: batch section volumes and per-replicate sums.
 
-Pure numpy, in blocks of BLOCK points.  The section volume is
-omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
-n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
+Pure numpy, in blocks of BLOCK points.  The section volume of a ModelConfig
+(d, lambda, R; mu and delta from its geometry) is omega_{d-1} mu^{1-d} J_{d-2}
+with J_n = int_0^rho sinh^n, evaluated for every n in
+x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
 
 * odd n: a polynomial in x with positive coefficients, exact up to rounding;
 * n = 0: rho = log1p(x + sqrt(x) sqrt(x + 2)), which does not overflow;
@@ -37,6 +38,8 @@ import numpy as np
 
 from .hyperbolic import (
     SERIES_CUTOFF,
+    ModelConfig,
+    ball_kappa,
     even_series_coefficients,
     horner,
     odd_power_coefficients,
@@ -72,35 +75,37 @@ def _sinh_power_integral(n, x):
     return out
 
 
-def _section_volumes_block(s, R, d, lam, mu, delta, kappa_dm1):
+def _section_volumes_block(s, config):
+    d = config.d
+    geom = config.geometry
+    kappa_dm1 = ball_kappa(d - 1)
     # (cosh R - cosh s) / 2 = sinh^2(R/2) - sinh^2(s/2) loses ~eps (cosh R - 1)
     # / (cosh R - cosh s) relative, only near |s| = R where the volume is negligible
     half_s = 0.5 * s
     half_gap = np.sinh(half_s)
     half_gap *= half_gap
-    np.subtract(math.sinh(0.5 * R) ** 2, half_gap, out=half_gap)
+    np.subtract(math.sinh(0.5 * config.R) ** 2, half_gap, out=half_gap)
     np.maximum(half_gap, 0.0, out=half_gap)
-    if lam == 1.0:
+    if geom.is_horospheric:
         # kappa_{d-1} [2 e^s (cosh R - cosh s)]^{(d-1)/2}
         # = kappa_{d-1} (2 e^{s/2} sqrt(half_gap))^{d-1}, which never forms e^{2R}
         root = np.sqrt(half_gap, out=half_gap)
         root *= np.exp(half_s, out=half_s)
         return (kappa_dm1 * 2.0 ** (d - 1)) * root ** (d - 1)
     # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta)
-    x = np.divide(half_gap, np.cosh(s - delta), out=half_gap)
-    x *= 2.0 * mu
+    x = np.divide(half_gap, np.cosh(s - geom.delta), out=half_gap)
+    x *= 2.0 * geom.mu
     # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
-    return ((d - 1) * kappa_dm1 / mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
+    return ((d - 1) * kappa_dm1 / geom.mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
 
 
-def section_volumes(s, R, d, lam, mu, delta, kappa_dm1):
-    """Closed-form (d-1)-volumes of the sections H(s) cap B_R^d, any d >= 2."""
+def section_volumes(s, config: ModelConfig):
+    """Closed-form (d-1)-volumes of the sections H(s) cap B_R^d of a model, any d >= 2."""
     s = np.asarray(s, dtype=np.float64)
     flat = s.reshape(-1)
     out = np.empty(flat.size)
     for i in range(0, flat.size, BLOCK):
-        out[i:i + BLOCK] = _section_volumes_block(flat[i:i + BLOCK], R, d, lam, mu,
-                                                  delta, kappa_dm1)
+        out[i:i + BLOCK] = _section_volumes_block(flat[i:i + BLOCK], config)
     return out.reshape(s.shape)
 
 

@@ -20,7 +20,7 @@ from scipy.special import betainc
 from . import kernels
 from .errors import DomainError, QuadratureError
 from .functionals import cosh_power_integral
-from .hyperbolic import horner, logcosh, sphere_area
+from .hyperbolic import horner, lambda_geometry, logcosh, scale_constant
 from .sampling import (
     _cosh_power_inverse,
     _cosh_power_quantile,
@@ -48,15 +48,11 @@ _SIN_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 3) for k in range(6
 
 
 def limit_scale_constant(d: int, lam: float) -> float:
-    """omega_{d-1} / ((d-2) 2^{d-2} sqrt(1-lambda^2)); infinite at lambda=1."""
+    """The scale constant c_{d,lambda} of the limit law (d >= 4); infinite at lambda=1."""
     if d < 4:
         raise DomainError("the non-Gaussian limit requires d >= 4")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError("lambda must lie in [0, 1]")
-    c = sphere_area(d - 1) / ((d - 2) * 2.0 ** (d - 2))
-    if lam == 1.0:
-        return math.inf
-    return c / math.sqrt(1.0 - lam * lam)
+    geom = lambda_geometry(lam)
+    return math.inf if geom.is_horospheric else scale_constant(d, geom)
 
 
 def _cosh_power_tail(p: float, T: float) -> float:
@@ -90,8 +86,8 @@ def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None) -> Limit
     if lam >= 1.0:
         raise DomainError("the limit law requires lambda < 1 (Gaussian regime)")
     rate = zeta_rate(d, lam) if rate is None else float(rate)
-    if not rate > 0.0:
-        raise DomainError("the limit law requires rate > 0")
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"the limit law requires a positive finite rate, got {rate}")
     T0 = float(_cosh_power_inverse(d - 1, DEFAULT_POINTS_PER_DRAW / rate))
     tail_var = rate * _cosh_power_tail(3 - d, T0)
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
@@ -270,8 +266,11 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     sigma_tail = math.sqrt(spec.tail_variance)
 
     def sums_of(p, offsets):
-        s = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, p)
-        return kernels.zeta_increment_sums(np.cosh(s) ** (-(spec.d - 2)), offsets)
+        # h = cosh^{-(d-2)}(s) in place: one chunk-sized array besides p
+        h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, p)
+        np.cosh(h, out=h)
+        np.power(h, -(spec.d - 2), out=h)
+        return kernels.zeta_increment_sums(h, offsets)
 
     out = np.empty(n)
     for start, rng, sums in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, UnsupportedDimensionError
-from .hyperbolic import ModelConfig
+from .hyperbolic import ModelConfig, logcosh
 from .kernels import BLOCK
 
 # 2-9 steps converge for n <= 60, t in [1e-300, K_n(700/n)]; 2-3 for n <= 5
@@ -53,16 +53,19 @@ def make_rng(seed: int, replicate_index: int = 0) -> np.random.Generator:
 # intensity
 # ---------------------------------------------------------------------------
 
-def intensity_density(config: ModelConfig, s) -> float:
-    """multiplier * (cosh s - lambda sinh s)^{d-1}."""
-    d = config.d
+def log_intensity_density(config: ModelConfig, s):
+    """log of Lambda(ds)/ds = multiplier (mu cosh(s - delta))^{d-1}, or multiplier e^{-(d-1)s}.
+
+    For a float or an array s; finite at every finite s.
+    """
     geom = config.geometry
-    s = np.asarray(s, dtype=np.float64)
-    if geom.is_horospheric:
-        out = np.exp(-(d - 1) * s)
-    else:
-        out = (geom.mu * np.cosh(s - geom.delta)) ** (d - 1)
-    out = config.intensity_multiplier * out
+    log_dens = -s if geom.is_horospheric else math.log(geom.mu) + logcosh(s - geom.delta)
+    return (config.d - 1) * log_dens + math.log(config.intensity_multiplier)
+
+
+def intensity_density(config: ModelConfig, s) -> float:
+    """multiplier * (cosh s - lambda sinh s)^{d-1}, the exp of :func:`log_intensity_density`."""
+    out = np.exp(log_intensity_density(config, np.asarray(s, dtype=np.float64)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,13 +170,13 @@ def _cosh_power_inverse(n: int, t):
 def _unit_extremes(p):
     """(min, max) of the flat array p, or None if p is empty.
 
-    Raises DomainError if some p lies outside [0, 1]; a NaN passes.
+    Raises DomainError if some p lies outside [0, 1] or is NaN.
     """
     if not p.size:
         return None
     lo, hi = p.min(), p.max()
-    # both are NaN if one p is; then only a full scan tells
-    if not (lo >= 0.0 and hi <= 1.0) and np.any((p < 0.0) | (p > 1.0)):
+    # both are NaN if one p is, and NaN fails both comparisons
+    if not (lo >= 0.0 and hi <= 1.0):
         raise DomainError("quantile argument must lie in [0, 1]")
     return lo, hi
 

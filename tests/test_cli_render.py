@@ -130,6 +130,15 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["render", "--d", "3", "--R", "2"]) == 1  # rendering needs d=2
 
 
+def test_non_finite_model_inputs_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["crofton", "--d", "2", "--R", "2", "--n", "10",
+                     "--multiplier", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(["limit", "--d", "4", "--n", "10", "--multiplier", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # subcommand outputs
 # ---------------------------------------------------------------------------

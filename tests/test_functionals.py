@@ -36,7 +36,12 @@ from hypfluct.functionals import (
     variance,
     variance_order,
 )
-from hypfluct.hyperbolic import intersection_volume, intersection_volume_bound
+from hypfluct.hyperbolic import (
+    intersection_volume,
+    intersection_volume_asymptote,
+    intersection_volume_bound,
+)
+from hypfluct.limitlaw import limit_cumulant, limit_law_spec, limit_scale_constant
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +221,20 @@ def test_normalized_cumulant_limit_d4():
         normalized_cumulant_limit(3, 0.0, 2)
     with pytest.raises(DomainError):
         normalized_cumulant_limit(4, 1.0, 2)
+
+
+@pytest.mark.parametrize("d", range(4, 8))
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.7])
+def test_limit_constants_agree_across_modules(d, lam):
+    """The cumulant limits, the limit law and the profile share one constant."""
+    spec = limit_law_spec(d, lam)
+    for k in (2, 3, 4):
+        assert normalized_cumulant_limit(d, lam, k) == pytest.approx(
+            limit_scale_constant(d, lam) ** k * limit_cumulant(spec, k), rel=1e-14)
+    config = ModelConfig(d=d, lam=lam, R=1.0)
+    for s in (-0.9, 0.0, 0.4, 0.95):
+        assert (intersection_volume_asymptote(config, s) * math.exp(-(d - 2) * config.R)
+                == pytest.approx(limit_profile(d, lam, s), rel=1e-14))
 
 
 def test_normalized_profile_converges_to_limit_profile():

@@ -384,10 +384,12 @@ def test_model_config_validation():
         ModelConfig(d=1, lam=0.0, R=1.0)
     with pytest.raises(DomainError):
         ModelConfig(d=2, lam=1.5, R=1.0)
-    with pytest.raises(DomainError):
-        ModelConfig(d=2, lam=0.0, R=0.0)
-    with pytest.raises(DomainError):
-        ModelConfig(d=2, lam=0.0, R=1.0, intensity_multiplier=0.0)
+    for R in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ModelConfig(d=2, lam=0.0, R=R)
+    for mult in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ModelConfig(d=2, lam=0.0, R=1.0, intensity_multiplier=mult)
 
 
 def test_lambda_geometry_sentinels():

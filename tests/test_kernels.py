@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from hypfluct import kernels
-from hypfluct.hyperbolic import (ModelConfig, ball_kappa, intersection_volume,
-                                 log_intersection_volume)
+from hypfluct.hyperbolic import ModelConfig, intersection_volume, log_intersection_volume
 
 
-def _random_inputs(seed, d, lam, R=4.0, n=5000):
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(-R, R, size=n)
-    mu = math.sqrt(1.0 - lam * lam)
-    delta = math.atanh(lam) if lam < 1.0 else math.inf
-    return s, mu, delta
+def _random_points(seed, R=4.0, n=5000):
+    return np.random.default_rng(seed).uniform(-R, R, size=n)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
@@ -23,8 +18,8 @@ def _random_inputs(seed, d, lam, R=4.0, n=5000):
 def test_section_volumes_match_scalar_path(d, lam):
     for R in (1e-4, 4.0):      # tiny R: cosh R - cosh s must not cancel
         config = ModelConfig(d=d, lam=lam, R=R)
-        s, mu, delta = _random_inputs(0, d, lam, R)
-        vols = kernels.section_volumes(s, R, d, lam, mu, delta, ball_kappa(d - 1))
+        s = _random_points(0, R)
+        vols = kernels.section_volumes(s, config)
         # every point against one call of the log-space path
         expected = np.exp(log_intersection_volume(config, s))
         np.testing.assert_allclose(vols, expected, rtol=1e-10, atol=0.0, err_msg=str(R))
@@ -40,19 +35,19 @@ def test_section_volumes_continuous_across_series_cutoff(d):
     s = np.linspace(2.70, 2.85, 4001)
     x = geom.mu * (math.cosh(R) - np.cosh(s)) / np.cosh(s - geom.delta)
     assert x.min() < 0.25 < x.max()
-    vols = kernels.section_volumes(s, R, d, lam, geom.mu, geom.delta, ball_kappa(d - 1))
+    vols = kernels.section_volumes(s, config)
     for i in np.flatnonzero(np.abs(x - 0.25) < 2e-3):
         assert vols[i] == pytest.approx(intersection_volume(config, float(s[i])),
                                         rel=1e-12)
 
 
 def test_section_volumes_keep_shape_and_empty_input():
-    s, mu, delta = _random_inputs(1, 4, 0.5, n=6)
-    kappa = ball_kappa(3)
-    flat = kernels.section_volumes(s, 4.0, 4, 0.5, mu, delta, kappa)
-    grid = kernels.section_volumes(s.reshape(2, 3), 4.0, 4, 0.5, mu, delta, kappa)
+    config = ModelConfig(d=4, lam=0.5, R=4.0)
+    s = _random_points(1, n=6)
+    flat = kernels.section_volumes(s, config)
+    grid = kernels.section_volumes(s.reshape(2, 3), config)
     np.testing.assert_array_equal(grid, flat.reshape(2, 3))
-    empty = kernels.section_volumes(np.empty(0), 4.0, 4, 0.5, mu, delta, kappa)
+    empty = kernels.section_volumes(np.empty(0), config)
     assert empty.shape == (0,)
 
 

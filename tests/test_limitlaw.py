@@ -1,6 +1,7 @@
 """Infinitely divisible limit law: cumulants, Levy measure, CF, sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,9 @@ def test_spec_domain_guards():
         limit_law_spec(3, 0.0)
     with pytest.raises(DomainError):
         limit_law_spec(4, 1.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            limit_law_spec(4, 0.0, rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,20 @@ def test_sample_limit_chunking_invariant(spec4, monkeypatch):
         runs.append(sample_limit(spec4, 500, seed=3))
     for run in runs[1:]:
         np.testing.assert_array_equal(run, runs[0])
+
+
+def test_sample_limit_holds_one_jump_array():
+    """The jump sizes are formed in place on the quantiles: about 2^20 jumps
+    per chunk are 8 MB per array, and two such arrays (uniforms and jumps)
+    stay below 24 MB where four did not."""
+    spec = limit_law_spec(4, 0.0)
+    tracemalloc.start()
+    try:
+        sample_limit(spec, 4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_sample_limit_moments(spec4):

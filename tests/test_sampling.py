@@ -108,6 +108,16 @@ def test_inverse_cdf_rejects_bad_quantiles():
         inverse_cdf(config, np.array([0.2, -0.1]))
 
 
+@pytest.mark.parametrize("d,lam", [(2, 0.5), (3, 0.5), (2, 1.0)])
+def test_inverse_cdf_rejects_nan(d, lam):
+    """Each quantile path (arcsinh, Halley, horosphere) names the bad input."""
+    config = ModelConfig(d=d, lam=lam, R=3.0)
+    with pytest.raises(DomainError):
+        inverse_cdf(config, [0.3, math.nan])
+    with pytest.raises(DomainError):
+        inverse_cdf(config, math.nan)
+
+
 @pytest.mark.parametrize("d,lam", [(2, 0.0), (3, 0.6), (4, 0.5), (2, 1.0), (6, 0.3),
                                    (8, 0.9)])
 def test_inverse_cdf_agrees_with_rejection_sampler(d, lam):
@@ -366,6 +376,17 @@ def test_sample_dump_truncated_raises_domain_error(tmp_path):
         read_sample_dump(path)
     path.write_bytes(data[:20])
     with pytest.raises(DomainError, match="header needs 50 bytes, 14 are left"):
+        read_sample_dump(path)
+
+
+def test_sample_dump_rejects_non_finite_radius(tmp_path):
+    path = tmp_path / "nan.hypf"
+    write_sample_dump(path, [sample_process(ModelConfig(d=2, lam=0.3, R=2.0), seed=1)])
+    data = bytearray(path.read_bytes())
+    # R follows MAGIC, the version, d and lambda
+    data[16:24] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DomainError, match="R must lie in"):
         read_sample_dump(path)
 
 
