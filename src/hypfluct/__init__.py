@@ -3,7 +3,6 @@ sampling, exact moment integrals, limit laws and fluctuation diagnostics."""
 
 from .errors import DomainError, QuadratureError, UnsupportedDimensionError
 from .hyperbolic import (
-    DimensionConstants,
     LambdaGeometry,
     ModelConfig,
     ball_volume,
@@ -13,17 +12,14 @@ from .hyperbolic import (
     lambda_geometry,
     rho,
     rho_bounds,
-    unit_ball_constants,
 )
 from .sampling import (
-    HyperplaneCoord,
     ProcessSample,
     intensity_density,
     inverse_cdf,
     mean_count,
     read_sample_dump,
     sample_process,
-    sample_zeta,
     write_sample_dump,
 )
 from .functionals import (
@@ -48,6 +44,7 @@ from .limitlaw import (
     limit_law_spec,
     limit_scale_constant,
     sample_limit,
+    sample_zeta,
 )
 from .stats import (
     k_statistics,

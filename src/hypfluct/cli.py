@@ -178,8 +178,7 @@ def _run_cumulants(cfg):
 
 
 def _run_limit(cfg):
-    spec = limitlaw.limit_law_spec(
-        cfg.d, cfg.lam, rate=cfg.multiplier * sampling.zeta_rate(cfg.d, cfg.lam))
+    spec = limitlaw.limit_law_spec(cfg.d, cfg.lam, multiplier=cfg.multiplier)
     draws = limitlaw.sample_limit(spec, cfg.n_replicates, cfg.seed)
     mean, k2, k3, k4 = stats.k_statistics(draws)
     sd = math.sqrt(limitlaw.limit_cumulant(spec, 2))

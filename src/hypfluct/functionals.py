@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import tanhsinh
-from scipy.special import gammaln
 
 from . import kernels
 from .errors import DomainError, QuadratureError
@@ -25,6 +24,7 @@ from .hyperbolic import (
     logcosh,
     scale_constant,
 )
+from .limitlaw import limit_cumulant, limit_law_spec
 from .sampling import (inverse_cdf, log_intensity_density, make_rng, mean_count,
                        poisson_block_sums)
 
@@ -124,24 +124,16 @@ def variance_order(config: ModelConfig) -> float:
     return math.exp(2.0 * (d - 2) * R)
 
 
-def cosh_power_integral(h: float) -> float:
-    """int_{-inf}^{inf} cosh(y)^{-h} dy = B(h/2, 1/2) = sqrt(pi) Gamma(h/2)/Gamma((h+1)/2)."""
-    if h <= 0.0:
-        raise DomainError("divergent integral: exponent must be positive")
-    return math.sqrt(math.pi) * math.exp(gammaln(h / 2.0) - gammaln((h + 1.0) / 2.0))
-
-
 def normalized_cumulant_limit(d: int, lam: float, k: int,
                               multiplier: float = 1.0) -> float:
-    """Limit multiplier mu^{d-1} c^k B(h/2, 1/2) of I_k(R) e^{-k(d-2)R}, d >= 4, lambda < 1."""
-    if d < 4:
-        raise DomainError("the normalized cumulant limit requires d >= 4")
+    """Limit c^k kappa_k of I_k(R) e^{-k(d-2)R} (d >= 4, lambda < 1).
+
+    kappa_k is the k-th cumulant of the limit law of the same (d, lambda, m).
+    """
     if k < 2:
         raise DomainError("requires k >= 2")
-    h = k * (d - 2) - (d - 1)
-    geom = lambda_geometry(lam)
-    return (multiplier * geom.mu ** (d - 1) * scale_constant(d, geom) ** k
-            * cosh_power_integral(h))
+    spec = limit_law_spec(d, lam, multiplier)
+    return spec.scale_constant ** k * limit_cumulant(spec, k)
 
 
 def normalized_profile(config: ModelConfig, s: float) -> float:

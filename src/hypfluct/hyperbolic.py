@@ -16,6 +16,7 @@ own range and np.where picks, so a discarded branch neither warns nor leaks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,34 +95,16 @@ def _log_cosh_gap(A: float, s):
 # dimension constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionConstants:
-    """Euclidean unit-ball volume and surface area in a given dimension."""
-
-    d: int
-    kappa: float
-    omega: float
-
-
-def unit_ball_constants(d: int) -> DimensionConstants:
-    """kappa_d = pi^{d/2}/Gamma(d/2+1) and omega_d = d*kappa_d.
-
-    omega_d equals the surface measure of the unit sphere S^{d-1} in R^d,
-    e.g. omega_2 = 2*pi, omega_3 = 4*pi.
-    """
+def ball_kappa(d: int) -> float:
+    """Volume kappa_d = pi^{d/2}/Gamma(d/2+1) of the Euclidean unit ball in R^d."""
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    kappa = math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0 + 1.0))
-    return DimensionConstants(d=d, kappa=kappa, omega=d * kappa)
+    return math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0 + 1.0))
 
 
 def sphere_area(d: int) -> float:
-    """Surface measure of S^{d-1}, i.e. omega_d."""
-    return unit_ball_constants(d).omega
-
-
-def ball_kappa(d: int) -> float:
-    return unit_ball_constants(d).kappa
+    """Surface measure omega_d = d kappa_d of S^{d-1}, e.g. omega_2 = 2 pi, omega_3 = 4 pi."""
+    return d * ball_kappa(d)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +171,8 @@ class ModelConfig:
     geometry: LambdaGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"d must be >= 2, got {self.d}")
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 2):
+            raise DomainError(f"d must be an integer >= 2, got {self.d!r}")
         if not 0.0 < self.R < math.inf:
             raise DomainError(f"R must lie in (0, inf), got {self.R}")
         if not 0.0 < self.intensity_multiplier < math.inf:

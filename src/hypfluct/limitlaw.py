@@ -1,33 +1,36 @@
 """The infinitely divisible limit laws of the surface-area fluctuations.
 
-The limit variable is a compensated sum of jump sizes h(s) = cosh^{-(d-2)}(s)
-over a Poisson process on [0, infinity) with density rate * cosh^{d-1}(s).
-Simulation is hybrid: jumps below a cutoff T0 are sampled exactly, the
-compensated small-jump tail beyond T0 is replaced by a Gaussian with the
-matching variance (the standard small-jump normal approximation; the bias is
+For d >= 4 and lambda < 1 the limit variable is a compensated sum of jump
+sizes h(s) = cosh^{-(d-2)}(s) over the half-line process zeta: a Poisson
+process on [0, infinity) with density rate * cosh^{d-1}(s), where
+rate = 2 m mu^{d-1} is the model's intensity m (mu cosh(s - delta))^{d-1}
+folded onto the half-line about delta.  This module owns zeta: the spec
+derives its rate, and its mean count and sampler live here.  Simulation is
+hybrid: jumps below a cutoff T0 are sampled exactly, the compensated
+small-jump tail beyond T0 is replaced by a Gaussian with the matching
+variance (the standard small-jump normal approximation; the bias is
 controlled by the third cumulant of the tail).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, gammaln
 
 from . import kernels
 from .errors import DomainError, QuadratureError
-from .functionals import cosh_power_integral
 from .hyperbolic import horner, lambda_geometry, logcosh, scale_constant
 from .sampling import (
     _cosh_power_inverse,
+    _cosh_power_primitive,
     _cosh_power_quantile,
     make_rng,
     poisson_block_sums,
-    zeta_mean_count,
-    zeta_rate,
 )
 
 DEFAULT_POINTS_PER_DRAW = 1000.0
@@ -55,6 +58,13 @@ def limit_scale_constant(d: int, lam: float) -> float:
     return math.inf if geom.is_horospheric else scale_constant(d, geom)
 
 
+def cosh_power_integral(h: float) -> float:
+    """int_{-inf}^{inf} cosh(y)^{-h} dy = B(h/2, 1/2) = sqrt(pi) Gamma(h/2)/Gamma((h+1)/2)."""
+    if h <= 0.0:
+        raise DomainError("divergent integral: exponent must be positive")
+    return math.sqrt(math.pi) * math.exp(gammaln(h / 2.0) - gammaln((h + 1.0) / 2.0))
+
+
 def _cosh_power_tail(p: float, T: float) -> float:
     """int_T^infinity cosh(s)^p ds = B(h/2, 1/2) I_{sech^2 T}(h/2, 1/2) / 2, h = -p."""
     h = -p
@@ -75,24 +85,48 @@ class LimitLawSpec:
     scale_constant: float
 
 
-def limit_law_spec(d: int, lam: float = 0.0, rate: float | None = None) -> LimitLawSpec:
-    """Build a LimitLawSpec; rate defaults to 2 (1-lambda^2)^{(d-1)/2}.
+def limit_law_spec(d: int, lam: float = 0.0, multiplier: float = 1.0) -> LimitLawSpec:
+    """The limit law of the model (d, lambda) with intensity multiplier m.
 
-    Pass rate=1 for the unoriented half-line variant.  T0 is chosen so that
-    the exactly-simulated jump count per draw is about DEFAULT_POINTS_PER_DRAW.
+    The rate of zeta is 2 m mu^{d-1}, with m in the units of
+    ModelConfig.intensity_multiplier (m = 1/2 at lambda = 0 is the unoriented
+    variant, rate 1).  T0 is chosen so that the exactly-simulated jump count
+    per draw is about DEFAULT_POINTS_PER_DRAW.
     """
-    if d < 4:
-        raise DomainError("the limit law requires d >= 4")
-    if lam >= 1.0:
+    if not (isinstance(d, numbers.Integral) and d >= 4):
+        raise DomainError(f"the limit law requires an integer d >= 4, got {d!r}")
+    geom = lambda_geometry(lam)
+    if geom.is_horospheric:
         raise DomainError("the limit law requires lambda < 1 (Gaussian regime)")
-    rate = zeta_rate(d, lam) if rate is None else float(rate)
-    if not 0.0 < rate < math.inf:
-        raise DomainError(f"the limit law requires a positive finite rate, got {rate}")
+    if not 0.0 < multiplier < math.inf:
+        raise DomainError(f"the limit law requires a multiplier in (0, inf), got {multiplier}")
+    rate = 2.0 * multiplier * geom.mu ** (d - 1)
     T0 = float(_cosh_power_inverse(d - 1, DEFAULT_POINTS_PER_DRAW / rate))
     tail_var = rate * _cosh_power_tail(3 - d, T0)
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
                         tail_variance=tail_var,
-                        scale_constant=limit_scale_constant(d, lam))
+                        scale_constant=scale_constant(d, geom))
+
+
+# ---------------------------------------------------------------------------
+# the half-line process zeta
+# ---------------------------------------------------------------------------
+
+def zeta_mean_count(spec: LimitLawSpec, T: float) -> float:
+    """Mean number of points of zeta on [0, T]: rate K_{d-1}(T), K_n = int_0^T cosh^n."""
+    K, _ = _cosh_power_primitive(spec.d - 1, float(T))
+    return spec.rate * K
+
+
+def sample_zeta(spec: LimitLawSpec, T: float, seed: int) -> np.ndarray:
+    """The points of zeta on [0, T], sorted, from the stream (seed, 0); none if T <= 0."""
+    if not math.isfinite(T):
+        raise DomainError(f"zeta is sampled on [0, T] for a finite T, got {T}")
+    if T <= 0.0:
+        return np.empty(0)
+    rng = make_rng(seed)
+    n = int(rng.poisson(zeta_mean_count(spec, T)))
+    return np.sort(_cosh_power_quantile(spec.d - 1, 0.0, T, rng.random(n)))
 
 
 def tail_variance(spec: LimitLawSpec, T: float) -> float:
@@ -261,7 +295,7 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     on (spec, seed, draw index), except in a partial last block (n not a
     multiple of DRAWS_PER_STREAM): there it depends on n too.
     """
-    mean_jumps = zeta_mean_count(spec.d, spec.lam, spec.T0, spec.rate)
+    mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)
     sigma_tail = math.sqrt(spec.tail_variance)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, UnsupportedDimensionError
+from .errors import DomainError, QuadratureError
 from .hyperbolic import ModelConfig, logcosh
 from .kernels import BLOCK
 
@@ -227,17 +227,11 @@ def inverse_cdf(config: ModelConfig, p):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HyperplaneCoord:
-    s: float
-    u: np.ndarray
-
-
-@dataclass(frozen=True)
 class ProcessSample:
     """One realization of the hyperplane process.
 
     s holds the signed distances in draw order, u the matching unit
-    directions (shape (n, d)), or None when direction sampling is disabled.
+    directions (shape (n, d)), or None in a sample built without them.
     """
 
     config: ModelConfig
@@ -246,27 +240,18 @@ class ProcessSample:
     seed: int
     replicate_index: int = 0
 
-    @property
-    def coords(self):
-        if self.u is None:
-            raise ValueError("directions were not sampled")
-        return [HyperplaneCoord(float(si), ui) for si, ui in zip(self.s, self.u)]
-
     def __len__(self):
         return self.s.shape[0]
 
 
-def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0,
-                   with_directions: bool = True) -> ProcessSample:
+def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> ProcessSample:
     """Draw one Poisson realization of the process restricted to [-R, R]."""
     rng = make_rng(seed, replicate_index)
     n = int(rng.poisson(mean_count(config)))
     s = inverse_cdf(config, rng.random(n))
-    u = None
-    if with_directions:
-        g = rng.standard_normal((n, config.d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        u = g / np.where(norms == 0.0, 1.0, norms)
+    g = rng.standard_normal((n, config.d))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    u = g / np.where(norms == 0.0, 1.0, norms)
     return ProcessSample(config=config, s=s, u=u, seed=seed,
                          replicate_index=replicate_index)
 
@@ -292,38 +277,6 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             sums.append(sums_of(rng.random(int(offsets[-1])), offsets))
         yield start, rng, np.concatenate(sums, axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# the auxiliary half-line process zeta
-# ---------------------------------------------------------------------------
-
-def zeta_rate(d: int, lam: float) -> float:
-    """Default density multiplier 2 (1 - lambda^2)^{(d-1)/2}."""
-    return 2.0 * (1.0 - lam * lam) ** (0.5 * (d - 1))
-
-
-def zeta_mean_count(d: int, lam: float, T: float, rate: float | None = None) -> float:
-    rate = zeta_rate(d, lam) if rate is None else rate
-    K, _ = _cosh_power_primitive(d - 1, float(T))
-    return rate * K
-
-
-def sample_zeta(d: int, lam: float, T: float, seed: int,
-                rate: float | None = None, rng=None) -> np.ndarray:
-    """Poisson process on [0, T] with density rate * cosh^{d-1}(s), sorted.
-
-    rate defaults to 2 (1-lambda^2)^{(d-1)/2}; pass rate=1 for the
-    unoriented half-line variant.
-    """
-    if lam >= 1.0:
-        raise UnsupportedDimensionError("the zeta process requires lambda < 1")
-    if T <= 0.0:
-        return np.empty(0)
-    if rng is None:
-        rng = make_rng(seed)
-    n = int(rng.poisson(zeta_mean_count(d, lam, T, rate)))
-    return np.sort(_cosh_power_quantile(d - 1, 0.0, T, rng.random(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ REPORT_COLUMNS = ("d", "lambda", "R", "n", "mean", "k2", "k3", "k4",
 
 def _limit_reference(d, lam, multiplier):
     """(z, F) grid of the CDF of the rescaled d>=4 limit scale * Z_{d,lambda}."""
-    spec = limitlaw.limit_law_spec(d, lam, rate=multiplier * limitlaw.zeta_rate(d, lam))
+    spec = limitlaw.limit_law_spec(d, lam, multiplier=multiplier)
     scale = spec.scale_constant
     sd = scale * math.sqrt(limitlaw.limit_cumulant(spec, 2))
     z = np.linspace(-12.0 * sd, 16.0 * sd, 1201)

@@ -45,7 +45,7 @@ def _normalized(config, n, seed):
 @pytest.fixture(scope="module")
 def z4_draws():
     """10^6 hybrid draws of the rate-1 limit variable, shared by 4 and 5."""
-    spec = limitlaw.limit_law_spec(4, 0.0, rate=1.0)
+    spec = limitlaw.limit_law_spec(4, 0.0, multiplier=0.5)
     return spec, limitlaw.sample_limit(spec, 1_000_000, seed=0)
 
 

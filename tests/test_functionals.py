@@ -25,7 +25,6 @@ from hypfluct.sampling import (
 )
 from hypfluct.functionals import (
     berry_esseen_indicator,
-    cosh_power_integral,
     cumulant_integral,
     expected_surface_area,
     limit_profile,
@@ -41,7 +40,12 @@ from hypfluct.hyperbolic import (
     intersection_volume_asymptote,
     intersection_volume_bound,
 )
-from hypfluct.limitlaw import limit_cumulant, limit_law_spec, limit_scale_constant
+from hypfluct.limitlaw import (
+    cosh_power_integral,
+    limit_cumulant,
+    limit_law_spec,
+    limit_scale_constant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +322,7 @@ def test_simulate_surface_agrees_with_per_replicate_path():
     """Statistical cross-check of the two sampling paths."""
     config = ModelConfig(d=2, lam=1.0, R=3.0)
     S, _, _ = simulate_surface(config, 4000, seed=3)
-    loop = np.array([total_surface_area(sample_process(config, 90, i,
-                                                       with_directions=False)).value
+    loop = np.array([total_surface_area(sample_process(config, 90, i)).value
                      for i in range(4000)])
     assert abs(S.mean() - loop.mean()) < 5.0 * math.sqrt(2.0 * variance(config) / 4000.0)
 

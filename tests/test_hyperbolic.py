@@ -17,6 +17,7 @@ from hypfluct.hyperbolic import (
     ModelConfig,
     arcosh,
     arcosh1p_from_log,
+    ball_kappa,
     ball_volume,
     intersection_volume,
     intersection_volume_asymptote,
@@ -31,7 +32,6 @@ from hypfluct.hyperbolic import (
     rho_bounds,
     rho_ugly,
     sphere_area,
-    unit_ball_constants,
 )
 
 
@@ -78,12 +78,12 @@ def test_arcosh_edge_cases():
 # ---------------------------------------------------------------------------
 
 def test_unit_ball_constants():
-    assert unit_ball_constants(2).kappa == pytest.approx(math.pi, rel=1e-15)
+    assert ball_kappa(2) == pytest.approx(math.pi, rel=1e-15)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
     with pytest.raises(DomainError):
-        unit_ball_constants(0)
+        ball_kappa(0)
 
 
 def test_ball_volume_frozen_values():
@@ -380,8 +380,9 @@ def test_log_intersection_volume_finite_at_huge_radius():
 # ---------------------------------------------------------------------------
 
 def test_model_config_validation():
-    with pytest.raises(DomainError):
-        ModelConfig(d=1, lam=0.0, R=1.0)
+    for d in (1, 2.5, 2.0):
+        with pytest.raises(DomainError, match="integer"):
+            ModelConfig(d=d, lam=0.0, R=1.0)
     with pytest.raises(DomainError):
         ModelConfig(d=2, lam=1.5, R=1.0)
     for R in (0.0, math.nan, math.inf):

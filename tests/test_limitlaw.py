@@ -22,17 +22,18 @@ from hypfluct.limitlaw import (
     limit_scale_constant,
     log_characteristic_function,
     sample_limit,
+    sample_zeta,
     tail_third_cumulant,
     tail_variance,
     truncated_variance,
+    zeta_mean_count,
 )
-from hypfluct.sampling import zeta_mean_count
 from hypfluct.stats import ks_distance
 
 
 @pytest.fixture(scope="module")
 def spec4():
-    return limit_law_spec(4, 0.0, rate=1.0)
+    return limit_law_spec(4, 0.0, multiplier=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +51,13 @@ def test_limit_cumulant_divergence_guard(spec4):
     with pytest.raises(DomainError):
         limit_cumulant(spec4, 0)
     # d=4, l=1 has h = -1 <= 0 only for l=1 which returns 0; check d=5 l=1 path
-    spec5 = limit_law_spec(5, 0.0, rate=1.0)
+    spec5 = limit_law_spec(5, 0.0, multiplier=0.5)
     assert limit_cumulant(spec5, 2) > 0.0
 
 
 def test_limit_cumulant_scales_with_rate():
-    a = limit_law_spec(4, 0.0, rate=1.0)
-    b = limit_law_spec(4, 0.0, rate=2.0)
+    a = limit_law_spec(4, 0.0, multiplier=0.5)
+    b = limit_law_spec(4, 0.0, multiplier=1.0)
     for ell in (2, 3, 4):
         assert limit_cumulant(b, ell) == pytest.approx(
             2.0 * limit_cumulant(a, ell), rel=1e-14)
@@ -72,6 +73,8 @@ def test_limit_scale_constant_values():
 def test_default_rate_matches_oriented_convention():
     spec = limit_law_spec(4, 0.6)
     assert spec.rate == pytest.approx(2.0 * (1.0 - 0.36) ** 1.5, rel=1e-14)
+    assert limit_law_spec(4).rate == 2.0
+    assert limit_law_spec(4, multiplier=0.5).rate == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +117,7 @@ def test_levy_density_change_of_variables():
 # ---------------------------------------------------------------------------
 
 def test_spec_cutoff_hits_point_budget(spec4):
-    assert zeta_mean_count(4, 0.0, spec4.T0, rate=1.0) == pytest.approx(1000.0,
-                                                                       rel=1e-9)
+    assert zeta_mean_count(spec4, spec4.T0) == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_variance_splits_at_cutoff(spec4):
@@ -142,18 +144,51 @@ def test_cosh_power_tails_against_mpmath(h, T):
     # far out the tail underflows to 0 rather than overflowing cosh
     assert _cosh_power_tail(-h, 1000.0) == 0.0
     # truncated_variance is rate * int_0^T cosh^{3-d}
-    spec = limit_law_spec(h + 3, 0.0, rate=1.0)
+    spec = limit_law_spec(h + 3, 0.0, multiplier=0.5)
     assert truncated_variance(spec, T) == pytest.approx(float(head), rel=1e-13)
 
 
 def test_spec_domain_guards():
     with pytest.raises(DomainError):
         limit_law_spec(3, 0.0)
+    with pytest.raises(DomainError, match="integer d >= 4"):
+        limit_law_spec(4.5, 0.0)
     with pytest.raises(DomainError):
         limit_law_spec(4, 1.0)
-    for rate in (0.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            limit_law_spec(4, 0.0, rate=rate)
+    with pytest.raises(DomainError, match="lambda"):
+        limit_law_spec(4, math.nan)
+    for multiplier in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="multiplier"):
+            limit_law_spec(4, 0.0, multiplier=multiplier)
+
+
+# ---------------------------------------------------------------------------
+# the half-line process zeta
+# ---------------------------------------------------------------------------
+
+def test_sample_zeta_empty_and_sorted():
+    spec = limit_law_spec(4, 0.0)
+    assert sample_zeta(spec, 0.0, seed=0).size == 0
+    s = sample_zeta(spec, 3.0, seed=1)
+    assert np.all(np.diff(s) >= 0.0)
+    assert np.all((s >= 0.0) & (s <= 3.0))
+    for T in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite T"):
+            sample_zeta(spec, T, seed=0)
+
+
+def test_zeta_mean_count_matches_quadrature():
+    direct, _ = quad(lambda s: math.cosh(s) ** 3, 0.0, 2.0)
+    assert zeta_mean_count(limit_law_spec(4, 0.0), 2.0) == pytest.approx(2.0 * direct, rel=1e-8)
+    assert zeta_mean_count(limit_law_spec(4, 0.0, multiplier=0.5), 2.0) == pytest.approx(
+        direct, rel=1e-8)
+
+
+def test_sample_zeta_count_statistics():
+    spec = limit_law_spec(4, 0.0)
+    counts = [sample_zeta(spec, 2.0, seed=i).size for i in range(300)]
+    mean = zeta_mean_count(spec, 2.0)
+    assert abs(np.mean(counts) - mean) < 4.0 * math.sqrt(mean / 300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +241,8 @@ def test_cf_against_mpmath(d, t):
 
 
 def test_cf_semigroup_in_rate():
-    a = limit_law_spec(4, 0.0, rate=1.0)
-    b = limit_law_spec(4, 0.0, rate=2.0)
+    a = limit_law_spec(4, 0.0, multiplier=0.5)
+    b = limit_law_spec(4, 0.0, multiplier=1.0)
     t = np.linspace(0.1, 8.0, 17)
     la = log_characteristic_function(a, t)
     lb = log_characteristic_function(b, t)

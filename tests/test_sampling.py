@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypfluct.errors import DomainError, QuadratureError, UnsupportedDimensionError
+from hypfluct.errors import DomainError, QuadratureError
 from hypfluct.hyperbolic import ModelConfig
 from hypfluct.sampling import (
     MAGIC,
+    ProcessSample,
     _cosh_power_inverse,
     _cosh_power_primitive,
     _cosh_power_quantile,
@@ -20,10 +21,7 @@ from hypfluct.sampling import (
     mean_count,
     read_sample_dump,
     sample_process,
-    sample_zeta,
     write_sample_dump,
-    zeta_mean_count,
-    zeta_rate,
 )
 from hypfluct.stats import ks_two_sample
 
@@ -251,13 +249,11 @@ def test_sample_process_empty_at_tiny_radius():
     config = ModelConfig(d=2, lam=0.0, R=1e-8)
     sample = sample_process(config, seed=0)
     assert len(sample) == 0
-    assert sample.coords == []
 
 
 def test_sample_process_count_matches_mean():
     config = ModelConfig(d=2, lam=0.0, R=5.0)
-    counts = [len(sample_process(config, seed=0, replicate_index=i,
-                                 with_directions=False))
+    counts = [len(sample_process(config, seed=0, replicate_index=i))
               for i in range(400)]
     mean = mean_count(config)
     # Poisson mean test at ~4 sigma
@@ -270,38 +266,6 @@ def test_make_rng_reproducible():
     c = make_rng(3, 6).random(10)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-# ---------------------------------------------------------------------------
-# half-line process
-# ---------------------------------------------------------------------------
-
-def test_zeta_rate_values():
-    assert zeta_rate(4, 0.0) == 2.0
-    assert zeta_rate(4, 1.0) == 0.0
-    assert zeta_rate(3, 0.5) == pytest.approx(2.0 * 0.75, rel=1e-15)
-
-
-def test_sample_zeta_empty_and_sorted():
-    assert sample_zeta(4, 0.0, 0.0, seed=0).size == 0
-    s = sample_zeta(4, 0.0, 3.0, seed=1)
-    assert np.all(np.diff(s) >= 0.0)
-    assert np.all((s >= 0.0) & (s <= 3.0))
-    with pytest.raises(UnsupportedDimensionError):
-        sample_zeta(4, 1.0, 1.0, seed=0)
-
-
-def test_zeta_mean_count_matches_quadrature():
-    direct, _ = quad(lambda s: math.cosh(s) ** 3, 0.0, 2.0)
-    assert zeta_mean_count(4, 0.0, 2.0) == pytest.approx(2.0 * direct, rel=1e-8)
-    assert zeta_mean_count(4, 0.0, 2.0, rate=1.0) == pytest.approx(direct, rel=1e-8)
-
-
-def test_sample_zeta_count_statistics():
-    counts = [sample_zeta(4, 0.0, 2.0, seed=0, rng=make_rng(0, i)).size
-              for i in range(300)]
-    mean = zeta_mean_count(4, 0.0, 2.0)
-    assert abs(np.mean(counts) - mean) < 4.0 * math.sqrt(mean / 300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +320,8 @@ def test_sample_dump_keeps_multiplier_and_replicate(tmp_path):
 
 
 def test_sample_dump_refuses_sample_without_directions(tmp_path):
-    sample = sample_process(ModelConfig(d=2, lam=0.0, R=2.0), seed=0,
-                            with_directions=False)
+    sample = ProcessSample(config=ModelConfig(d=2, lam=0.0, R=2.0),
+                           s=np.array([0.5, -1.0]), u=None, seed=0)
     path = tmp_path / "nodirs.hypf"
     with pytest.raises(ValueError, match="without directions"):
         write_sample_dump(path, [sample])
