@@ -169,8 +169,8 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     Returns (S, S_plus, S_minus) float arrays.  Block b of REPLICATES_PER_STREAM
     replicates draws its Poisson counts, then its uniforms in replicate order,
     from the stream (seed, b), so a value depends only on (config, seed,
-    replicate), and on n too in a partial last block.  About
-    max(POINT_BUDGET, one replicate) points are held.
+    replicate), not on n.  About max(POINT_BUDGET, one replicate) points are
+    held.
     """
     def sums_of(p, offsets):
         s = inverse_cdf(config, p)

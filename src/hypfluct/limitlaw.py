@@ -292,8 +292,7 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     DRAWS_PER_STREAM draws takes its jump counts, its jump uniforms in draw
     order, then its tail normals from the stream (seed, b); about
     max(POINT_BUDGET, one draw) jumps are held at once.  A draw depends only
-    on (spec, seed, draw index), except in a partial last block (n not a
-    multiple of DRAWS_PER_STREAM): there it depends on n too.
+    on (spec, seed, draw index), not on n.
     """
     mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)

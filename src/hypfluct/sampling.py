@@ -49,6 +49,22 @@ def make_rng(seed: int, replicate_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _skip_uniforms(rng: np.random.Generator, k: int) -> None:
+    """Move a make_rng stream on as if rng.random(k) had been drawn.
+
+    A uniform takes one 64-bit output; Philox makes them 4 per counter step,
+    so the buffered ones are drawn, whole steps are skipped by advance and
+    the rest drawn: O(1) work for any k.
+    """
+    bitgen = rng.bit_generator
+    head = min(k, 4 - bitgen.state["buffer_pos"])
+    rng.random(head)
+    steps, tail = divmod(k - head, 4)
+    if steps:  # advance drops the buffer, which head has emptied once steps > 0
+        bitgen.advance(steps)
+    rng.random(tail)
+
+
 # ---------------------------------------------------------------------------
 # intensity
 # ---------------------------------------------------------------------------
@@ -259,23 +275,24 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> 
 def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
     """Yield (start, rng, sums) per block of replicates of Poisson(mean) points.
 
-    Block b covers replicates [b block, b block + m) and draws its m counts,
-    then their uniforms in replicate order, from rng_of(b).  sums_of(p,
-    offsets) reduces the uniforms p of whole replicates (i-th at offsets[i])
-    to sums along its last axis, max(1, POINT_BUDGET // ceil(mean)) replicates
-    per call, so no sum depends on the budget.  A block is yielded after all
-    its uniforms are drawn, for the caller to draw more from rng.  The last
-    block draws counts for its m < block replicates only, so its uniforms,
-    and its sums, depend on m and hence on n.
+    Block b covers replicates [b block, b block + m) and draws block counts,
+    then the uniforms of its m replicates in replicate order, from rng_of(b).
+    sums_of(p, offsets) reduces the uniforms p of whole replicates (i-th at
+    offsets[i]) to sums along its last axis, max(1, POINT_BUDGET // ceil(mean))
+    replicates per call, so no sum depends on the budget.  A block is yielded
+    with rng past the uniforms of all its block replicates, for the caller to
+    draw more from it; a partial last block keeps its first m counts and skips
+    the rest of the uniforms, so no value depends on n.
     """
     per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
         rng = rng_of(b)
-        counts = rng.poisson(mean, size=min(block, n - start))
+        counts, unused = np.split(rng.poisson(mean, size=block), [n - start])
         sums = []
         for i in range(0, counts.size, per_call):
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             sums.append(sums_of(rng.random(int(offsets[-1])), offsets))
+        _skip_uniforms(rng, int(unused.sum()))
         yield start, rng, np.concatenate(sums, axis=-1)
 
 

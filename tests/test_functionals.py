@@ -24,6 +24,7 @@ from hypfluct.sampling import (
     sample_process,
 )
 from hypfluct.functionals import (
+    REPLICATES_PER_STREAM,
     berry_esseen_indicator,
     cumulant_integral,
     expected_surface_area,
@@ -45,6 +46,7 @@ from hypfluct.limitlaw import (
     limit_cumulant,
     limit_law_spec,
     limit_scale_constant,
+    sample_limit,
 )
 
 
@@ -302,6 +304,16 @@ def test_simulate_surface_deterministic():
     assert not np.array_equal(a[0], simulate_surface(config, 100, seed=6)[0])
 
 
+def test_values_do_not_depend_on_n():
+    """A partial last block draws a whole block of counts, so replicate i
+    (draw i) reads the same stream whatever n is."""
+    config = ModelConfig(d=2, lam=0.5, R=3.0)
+    for a, b in zip(simulate_surface(config, 100, 0), simulate_surface(config, 101, 0)):
+        np.testing.assert_array_equal(a, b[:100])
+    spec = limit_law_spec(4)
+    np.testing.assert_array_equal(sample_limit(spec, 5, 1), sample_limit(spec, 6, 1)[:5])
+
+
 def test_simulate_surface_split_consistency():
     config = ModelConfig(d=3, lam=0.0, R=2.0)
     S, Sp, Sn = simulate_surface(config, 50, seed=1)
@@ -331,14 +343,14 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
     """d = 6 batch volumes against the same points summed replicate by replicate.
 
     The points are redrawn from the stream simulate_surface uses for its first
-    block; each replicate is summed by total_surface_area and, independently
+    block, which draws the counts of a whole block and keeps the first n; each replicate is summed by total_surface_area and, independently
     of the batch kernel, by fsum of the log-space scalar section volumes.
     """
     config = ModelConfig(d=6, lam=0.3, R=2.5)
     n, seed = 4, 9
     S, Sp, Sn = simulate_surface(config, n, seed=seed)
     rng = make_rng(seed, 0)
-    counts = rng.poisson(mean_count(config), size=n)
+    counts = rng.poisson(mean_count(config), size=REPLICATES_PER_STREAM)[:n]
     s_all = inverse_cdf(config, rng.random(int(counts.sum())))
     for i, s in enumerate(np.split(s_all, np.cumsum(counts)[:-1])):
         sample = ProcessSample(config=config, s=s, u=None, seed=seed,

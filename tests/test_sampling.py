@@ -15,6 +15,7 @@ from hypfluct.sampling import (
     _cosh_power_inverse,
     _cosh_power_primitive,
     _cosh_power_quantile,
+    _skip_uniforms,
     inverse_cdf,
     intensity_density,
     make_rng,
@@ -266,6 +267,19 @@ def test_make_rng_reproducible():
     c = make_rng(3, 6).random(10)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("before", range(5))
+def test_skip_uniforms_matches_drawing_them(before):
+    """Skipping k uniforms leaves the stream where rng.random(k) would, from
+    every position in Philox's 4-output buffer."""
+    for k in (0, 1, 3, 4, 5, 11, 1000):
+        drawn, skipped = make_rng(2, 7), make_rng(2, 7)
+        for rng in (drawn, skipped):
+            rng.random(before)
+        drawn.random(k)
+        _skip_uniforms(skipped, k)
+        np.testing.assert_array_equal(drawn.standard_normal(6), skipped.standard_normal(6))
 
 
 # ---------------------------------------------------------------------------
