@@ -39,12 +39,18 @@ CF_TRUNCATION_EPS = 1e-10
 COS_HALF_WIDTH = 12.0
 # t-values per block in log_characteristic_function
 CF_BLOCK = 512
-# Gauss-Legendre rule of the CF on s in [0, CF_S_MAX]: against 110-digit mpmath
-# the CF is off by 7.5e-14 at (d, t) = (4, 1) and 4.2e-14 at (5, 2), where
-# 2000 nodes are off by 4.5e-13 and 2.5e-13, so more nodes only add rounding
+# Gauss-Legendre rule of the CF on s in [0, s_max]: the integrand decays like
+# t^2 cosh^{3-d}(s), so s_max = min(CF_S_MAX, arcosh e^{CF_S_MAX/(d-3)}) drops a
+# tail below 2 e^{-CF_S_MAX} and keeps cosh^{d-1}(s_max) below e^{120} for every
+# d (a fixed s_max = 40 overflows at d >= 20).  Against 110-digit mpmath the CF
+# is off by 7.5e-14 at (d, t) = (4, 1), 2.0e-14 at (5, 2) and 1.7e-14 at
+# (20, 1); 2000 nodes are off by 4.5e-13 at (4, 1), so more nodes only add
+# rounding
 CF_NODES = 600
 CF_S_MAX = 40.0
 MONOTONE_TOL = 1e-6
+# the largest mean numpy's Poisson sampler accepts
+POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 DRAWS_PER_STREAM = 10000
 # (sin z - z) / z^3 as a series in z^2, to z^13
 _SIN_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 3) for k in range(6))
@@ -119,13 +125,24 @@ def zeta_mean_count(spec: LimitLawSpec, T: float) -> float:
 
 
 def sample_zeta(spec: LimitLawSpec, T: float, seed: int) -> np.ndarray:
-    """The points of zeta on [0, T], sorted, from the stream (seed, 0); none if T <= 0."""
+    """The points of zeta on [0, T], sorted, from the stream (seed, 0); none if T <= 0.
+
+    Raises DomainError, before any draw, for a T whose mean count is not
+    finite or exceeds POISSON_MAX_MEAN.
+    """
     if not math.isfinite(T):
         raise DomainError(f"zeta is sampled on [0, T] for a finite T, got {T}")
     if T <= 0.0:
         return np.empty(0)
+    try:
+        mean = zeta_mean_count(spec, T)
+    except OverflowError:
+        mean = math.inf
+    if not mean <= POISSON_MAX_MEAN:
+        raise DomainError(f"zeta on [0, T] at T = {T} has mean count {mean:.3g}, "
+                          f"beyond the {POISSON_MAX_MEAN:.3g} a Poisson draw takes")
     rng = make_rng(seed)
-    n = int(rng.poisson(zeta_mean_count(spec, T)))
+    n = int(rng.poisson(mean))
     return np.sort(_cosh_power_quantile(spec.d - 1, 0.0, T, rng.random(n)))
 
 
@@ -192,8 +209,9 @@ def _compensated_cis(z):
 def _cf_nodes(d: int):
     """Gauss-Legendre nodes/weights and precomputed h, cosh^{d-1} factors."""
     x, w = np.polynomial.legendre.leggauss(CF_NODES)
-    s = 0.5 * CF_S_MAX * (x + 1.0)
-    w = 0.5 * CF_S_MAX * w
+    half = 0.5 * min(CF_S_MAX, math.acosh(math.exp(CF_S_MAX / (d - 3))))
+    s = half * (x + 1.0)
+    w = half * w
     h = np.cosh(s) ** (-(d - 2))
     dens = np.cosh(s) ** (d - 1)
     return h, w * dens

@@ -1,34 +1,31 @@
 """SVG rendering of planar realizations in the Poincare disk.
 
 Each coordinate (s, u) is realized as the canonical curve in the upper
-half-plane (a slanted line for lambda < 1, a horizontal line for lambda = 1),
-mapped to the disk by the conformal map z -> (z - i)/(z + i) and rotated
-about the centre by the direction angle of u.  Curves are drawn as dense
-polylines clipped to the image of B_R (a concentric circle of Euclidean
-radius tanh(R/2)).
+half-plane z = x + i y: the line Re(conj(beta) z) = k with unit normal
+beta = (-mu, lambda) and k = -mu sinh(s - Delta) for lambda < 1 (the ray from
+sinh(s - Delta) at the boundary angle theta, cos theta = lambda), and
+beta = (0, 1), k = e^{-s} for lambda = 1.  The conformal map
+z -> (z - i)/(z + i) takes it to the circle of centre (k - i beta_1)/A and
+radius 1/|A|, A = k + beta_2, rotated about the centre by the direction angle
+of u.  Each curve is one exact <circle> in one group clipped to the image of
+B_R, the concentric circle of radius tanh(R/2), so the SVG renderer clips.
+A = 0 exactly at s = 2 Delta, where the line passes through -i: that curve
+is the chord between its ideal points rot 1 and rot (a - i)/(a + i),
+a = sinh(s - Delta).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
-import numpy as np
-
 from .errors import UnsupportedDimensionError
-
-CURVE_POINTS = 1024
-PARAM_SPAN = 18.0  # half-range of the exponential curve parameter
 
 STYLE = {
     "geodesic": "stroke:#1f77b4;stroke-width:0.004;fill:none",
     "equidistant": "stroke:#2ca02c;stroke-width:0.004;fill:none",
     "horocycle": "stroke:#d62728;stroke-width:0.004;fill:none",
 }
-
-
-def halfplane_to_disk(z: np.ndarray) -> np.ndarray:
-    """Conformal map of the upper half-plane onto the unit disk, i -> 0."""
-    return (z - 1j) / (z + 1j)
 
 
 def curve_class(lam: float) -> str:
@@ -39,69 +36,39 @@ def curve_class(lam: float) -> str:
     return "equidistant"
 
 
-def disk_polyline(s: float, angle: float, geom, n_points: int = CURVE_POINTS) -> np.ndarray:
-    """Unclipped disk image (complex array) of the curve at signed distance s.
+def disk_circle(s: float, angle: float, geom):
+    """(centre, radius) of the disk image of the curve at signed distance s.
 
-    angle rotates the curve about the disk centre; the canonical curves are
-    x1 = m (x2 - sinh(s - Delta)) for lambda < 1 and x1 = e^{-s} for
-    lambda = 1 in half-plane coordinates z = x2 + i x1.
+    angle rotates the curve about the disk centre.  None at s = 2 Delta
+    (lambda < 1), where the image is a chord, not a circle.
     """
-    tau = np.linspace(-PARAM_SPAN, PARAM_SPAN, n_points)
     if geom.is_horospheric:
-        c = math.exp(-s)
-        z = c * np.sinh(tau) + 1j * c
+        beta1, k = 0.0, math.exp(-s)
+        A = k + 1.0
     else:
+        beta1, k = -geom.mu, -geom.mu * math.sinh(s - geom.delta)
+        # k + lambda without cancellation (sinh Delta = lambda / mu)
+        A = 2.0 * geom.mu * math.cosh(0.5 * s) * math.sinh(geom.delta - 0.5 * s)
+    if A == 0.0:
+        return None
+    return cmath.rect(1.0, angle) * complex(k, -beta1) / A, 1.0 / abs(A)
+
+
+def _curve(s: float, angle: float, geom) -> str:
+    """The SVG element of one curve: its circle, or its chord at s = 2 Delta."""
+    circle = disk_circle(s, angle, geom)
+    if circle is None:
+        rot = cmath.rect(1.0, angle)
         a = math.sinh(s - geom.delta)
-        r = np.exp(tau)
-        # theta is the boundary angle; lambda = 0 gives a vertical line
-        z = (a + r * math.cos(geom.theta)) + 1j * (r * math.sin(geom.theta))
-    return np.exp(1j * angle) * halfplane_to_disk(z)
-
-
-def clip_to_radius(w: np.ndarray, radius: float):
-    """Split a polyline into segments inside |w| <= radius.
-
-    Crossing points are interpolated linearly so clipped curves end on the
-    clipping circle.
-    """
-    inside = np.abs(w) <= radius
-    segments = []
-    current = []
-    for i in range(len(w)):
-        if inside[i]:
-            if i > 0 and not inside[i - 1]:
-                current.append(_crossing(w[i - 1], w[i], radius))
-            current.append(w[i])
-        else:
-            if i > 0 and inside[i - 1]:
-                current.append(_crossing(w[i - 1], w[i], radius))
-                segments.append(np.array(current))
-                current = []
-    if current:
-        segments.append(np.array(current))
-    return segments
-
-
-def _crossing(w0, w1, radius):
-    # solve |w0 + t (w1 - w0)| = radius for t in (0, 1)
-    d = w1 - w0
-    a = abs(d) ** 2
-    b = 2.0 * (w0.real * d.real + w0.imag * d.imag)
-    c = abs(w0) ** 2 - radius * radius
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    roots = [(-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)]
-    t = min((r for r in roots if 0.0 <= r <= 1.0), default=0.0)
-    return w0 + t * d
+        end = rot * (a - 1j) / (a + 1j)
+        return (f'<line x1="{rot.real!r}" y1="{rot.imag!r}" '
+                f'x2="{end.real!r}" y2="{end.imag!r}" />')
+    c, r = circle
+    return f'<circle cx="{c.real!r}" cy="{c.imag!r}" r="{r!r}" />'
 
 
 def _circle(r, style):
-    return (f'<circle cx="0" cy="0" r="{r:.6f}" '
-            f'style="{style}" />')
-
-
-def _polyline(points, style):
-    pts = " ".join(f"{p.real:.6f},{p.imag:.6f}" for p in points)
-    return f'<polyline points="{pts}" style="{style}" />'
+    return f'<circle cx="0" cy="0" r="{r!r}" style="{style}" />'
 
 
 def render_disk(sample) -> str:
@@ -109,23 +76,21 @@ def render_disk(sample) -> str:
     config = sample.config
     if config.d != 2:
         raise UnsupportedDimensionError("disk rendering requires d = 2")
+    if sample.u is None:
+        raise ValueError("rendering needs sampled directions")
     geom = config.geometry
     radius = math.tanh(config.R / 2.0)
-    style = STYLE[curve_class(geom.lam)]
     body = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.05 -1.05 2.1 2.1">',
         _circle(1.0, "stroke:#000000;stroke-width:0.006;fill:none"),
         _circle(radius, "stroke:#888888;stroke-width:0.003;fill:none;"
                         "stroke-dasharray:0.02,0.02"),
+        f'<defs><clipPath id="ball"><circle cx="0" cy="0" r="{radius!r}" />'
+        '</clipPath></defs>',
+        f'<g clip-path="url(#ball)" style="{STYLE[curve_class(geom.lam)]}">',
     ]
-    if sample.u is None:
-        raise ValueError("rendering needs sampled directions")
     for s, u in zip(sample.s, sample.u):
-        angle = math.atan2(u[1], u[0])
-        w = disk_polyline(float(s), angle, geom)
-        for seg in clip_to_radius(w, radius):
-            if len(seg) >= 2:
-                body.append(_polyline(seg, style))
-    body.append("</svg>")
+        body.append(_curve(float(s), math.atan2(u[1], u[0]), geom))
+    body += ["</g>", "</svg>"]
     return "\n".join(body)

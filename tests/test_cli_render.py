@@ -12,7 +12,7 @@ import pytest
 from hypfluct import cli, functionals, limitlaw, render, stats
 from hypfluct.cli import UsageError, parse_config, run
 from hypfluct.hyperbolic import ModelConfig, lambda_geometry
-from hypfluct.sampling import read_sample_dump, sample_process
+from hypfluct.sampling import ProcessSample, read_sample_dump, sample_process
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -298,75 +298,65 @@ def _render_svg(lam, R=3.0, seed=2):
     return sample, render.render_disk(sample)
 
 
+def _clipped_group(root):
+    (group,) = [e for e in root if e.tag.endswith("}g")]
+    return group
+
+
 def test_render_svg_well_formed():
     for lam in (0.0, 0.5, 1.0):
-        _, svg = _render_svg(lam)
+        sample, svg = _render_svg(lam)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert root.get("viewBox") == "-1.05 -1.05 2.1 2.1"
-        circles = [e for e in root.iter() if e.tag.endswith("circle")]
+        circles = [e for e in root if e.tag.endswith("circle")]
         assert len(circles) == 2  # unit boundary + ball outline
+        clips = [e for e in root.iter() if e.tag.endswith("clipPath")]
+        assert len(clips) == 1
+        (ball,) = list(clips[0])
+        assert float(ball.get("r")) == math.tanh(1.5)
+        assert len(list(_clipped_group(root))) == len(sample) > 0
 
 
-def test_render_polylines_stay_in_clip_radius():
+def test_render_curves_sit_in_ball_clip_group():
     config = ModelConfig(d=2, lam=0.5, R=3.0)
     sample = sample_process(config, seed=4)
-    svg = render.render_disk(sample)
-    root = ET.fromstring(svg)
-    radius = math.tanh(1.5)
-    for poly in (e for e in root.iter() if e.tag.endswith("polyline")):
-        pts = np.array([[float(v) for v in p.split(",")]
-                        for p in poly.get("points").split()])
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= radius + 1e-6)
+    root = ET.fromstring(render.render_disk(sample))
+    clip_id = next(e for e in root.iter() if e.tag.endswith("clipPath")).get("id")
+    group = _clipped_group(root)
+    assert group.get("clip-path") == f"url(#{clip_id})"
+    curves = [e for e in root.iter() if e.tag.endswith(("circle", "line"))]
+    assert len(curves) == 3 + len(sample)  # boundary, outline, clip circle
+    assert all(e.tag.endswith("circle") for e in group)
 
 
-def test_horocycle_vertices_on_tangent_circle():
-    """lambda = 1 curves are Euclidean circles internally tangent to the boundary."""
-    geom = lambda_geometry(1.0)
-    for s in (-1.0, 0.0, 1.5):
-        w = render.disk_polyline(s, 0.7, geom)
-        # circumcircle through three spread points
-        a, b, c = w[100], w[512], w[-100]
-        # center equidistant from a, b, c (perpendicular bisector intersection)
-        ax, ay, bx, by, cx, cy = a.real, a.imag, b.real, b.imag, c.real, c.imag
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        ux = ((ax ** 2 + ay ** 2) * (by - cy) + (bx ** 2 + by ** 2) * (cy - ay)
-              + (cx ** 2 + cy ** 2) * (ay - by)) / d
-        uy = ((ax ** 2 + ay ** 2) * (cx - bx) + (bx ** 2 + by ** 2) * (ax - cx)
-              + (cx ** 2 + cy ** 2) * (bx - ax)) / d
-        center = complex(ux, uy)
-        r = abs(a - center)
-        deviation = np.abs(np.abs(w - center) - r)
-        assert float(deviation.max()) < 1e-3
-        # internal tangency to the unit circle
-        assert abs(center) + r == pytest.approx(1.0, abs=1e-3)
+def test_disk_circle_exact_geometry():
+    """Each curve's circle lies at hyperbolic distance |s| from the centre,
+    meets the boundary at the angle theta (cos theta = lambda) and passes
+    through the rotated ideal point rot 1."""
+    for lam in (0.0, 0.3, 0.5, 0.9, 1.0):
+        geom = lambda_geometry(lam)
+        for s in np.linspace(-3.0, 3.0, 14):
+            for angle in (0.0, 1.1, -2.5):
+                c, r = render.disk_circle(float(s), angle, geom)
+                assert abs(abs(abs(c) - r) - math.tanh(abs(s) / 2.0)) <= 1e-12
+                assert abs(abs(1.0 + r * r - abs(c) ** 2) / (2.0 * r) - lam) <= 1e-12
+                assert abs(abs(complex(math.cos(angle), math.sin(angle)) - c) - r) <= 1e-12
 
 
-def _boundary_angle(w):
-    """Angle between the end tangent of a polyline and the boundary tangent."""
-    tangent = w[1] - w[0]
-    boundary_point = w[0] / abs(w[0])
-    boundary_tangent = 1j * boundary_point
-    cosang = abs((tangent.conjugate() * boundary_tangent).real) \
-        / (abs(tangent) * abs(boundary_tangent))
-    return math.acos(min(cosang, 1.0))
-
-
-def test_geodesic_meets_boundary_orthogonally():
-    geom = lambda_geometry(0.0)
-    for s in (-1.2, 0.0, 0.8):
-        w = render.disk_polyline(s, 1.1, geom)
-        # angle from orthogonal: acos of |cos| measures against the tangent
-        ang = _boundary_angle(w)
-        assert abs(ang - math.pi / 2.0) < 1e-2
-
-
-def test_equidistant_boundary_angle():
-    geom = lambda_geometry(0.5)  # theta = pi/3
-    for s in (-0.5, 0.3, 1.0):
-        w = render.disk_polyline(s, 0.3, geom)
-        ang = _boundary_angle(w)
-        assert abs(ang - math.pi / 3.0) < 1e-2
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_curve_through_minus_i_renders_as_a_chord(lam):
+    """At s = 2 delta the half-plane line passes through -i: its image is the
+    chord between two ideal points, drawn as a <line>."""
+    geom = lambda_geometry(lam)
+    config = ModelConfig(d=2, lam=lam, R=3.0)
+    sample = ProcessSample(config=config, s=np.array([2.0 * geom.delta]),
+                           u=np.array([[0.6, 0.8]]), seed=0)
+    assert render.disk_circle(2.0 * geom.delta, 0.9, geom) is None
+    (line,) = list(_clipped_group(ET.fromstring(render.render_disk(sample))))
+    assert line.tag.endswith("line")
+    for x, y in (("x1", "y1"), ("x2", "y2")):
+        assert abs(math.hypot(float(line.get(x)), float(line.get(y))) - 1.0) <= 1e-15
 
 
 def test_render_command_writes_svg(tmp_path):
@@ -375,14 +365,4 @@ def test_render_command_writes_svg(tmp_path):
                      "--seed", "1", "--out", str(out)])
     assert code == 0
     root = ET.fromstring(out.read_text())
-    assert any(e.tag.endswith("polyline") for e in root.iter())
-
-
-def test_clip_to_radius_segments():
-    # a diameter-crossing chord gets clipped to the circle
-    w = np.linspace(-2.0, 2.0, 101) + 0.1j
-    segments = render.clip_to_radius(w, 1.0)
-    assert len(segments) == 1
-    seg = segments[0]
-    assert abs(abs(seg[0]) - 1.0) < 1e-9
-    assert abs(abs(seg[-1]) - 1.0) < 1e-9
+    assert len(list(_clipped_group(root))) > 0

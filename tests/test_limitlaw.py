@@ -175,6 +175,10 @@ def test_sample_zeta_empty_and_sorted():
     for T in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite T"):
             sample_zeta(spec, T, seed=0)
+    # the mean count overflows (T = 800) or exceeds numpy's Poisson limit (T = 300)
+    for T in (300.0, 800.0):
+        with pytest.raises(DomainError, match=f"T = {T}"):
+            sample_zeta(spec, T, seed=0)
 
 
 def test_zeta_mean_count_matches_quadrature():
@@ -197,6 +201,9 @@ def test_sample_zeta_count_statistics():
 
 def test_cf_at_zero_is_one(spec4):
     assert characteristic_function(spec4, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    # the rule's range shrinks with d, so cosh^{d-1} stays finite
+    for d in (20, 40):
+        assert characteristic_function(limit_law_spec(d), 0.0) == 1.0
 
 
 def test_cf_finite_difference_cumulants(spec4):
@@ -222,7 +229,7 @@ def test_compensated_cis_against_mpmath():
     np.testing.assert_allclose(got.imag, [r.imag for r in ref], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("d, t", [(4, 1.0), (5, 2.0)])
+@pytest.mark.parametrize("d, t", [(4, 1.0), (5, 2.0), (20, 1.0), (40, 1.0)])
 def test_cf_against_mpmath(d, t):
     """The CF quadrature rule against 110-digit mpmath.
 
