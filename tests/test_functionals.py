@@ -343,8 +343,9 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
     """d = 6 batch volumes against the same points summed replicate by replicate.
 
     The points are redrawn from the stream simulate_surface uses for its first
-    block, which draws the counts of a whole block and keeps the first n; each replicate is summed by total_surface_area and, independently
-    of the batch kernel, by fsum of the log-space scalar section volumes.
+    block, which draws the counts of a whole block and keeps the first n; each
+    replicate is summed by total_surface_area and, independently of the batch
+    kernel, by fsum of the log-space scalar section volumes.
     """
     config = ModelConfig(d=6, lam=0.3, R=2.5)
     n, seed = 4, 9
