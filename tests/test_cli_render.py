@@ -331,17 +331,53 @@ def test_render_curves_sit_in_ball_clip_group():
 
 
 def test_disk_circle_exact_geometry():
-    """Each curve's circle lies at hyperbolic distance |s| from the centre,
-    meets the boundary at the angle theta (cos theta = lambda) and passes
-    through the rotated ideal point rot 1."""
+    """Each curve's circle lies at hyperbolic distance |s| from the centre
+    and passes through the rotated ideal point rot 1."""
     for lam in (0.0, 0.3, 0.5, 0.9, 1.0):
         geom = lambda_geometry(lam)
         for s in np.linspace(-3.0, 3.0, 14):
             for angle in (0.0, 1.1, -2.5):
                 c, r = render.disk_circle(float(s), angle, geom)
                 assert abs(abs(abs(c) - r) - math.tanh(abs(s) / 2.0)) <= 1e-12
-                assert abs(abs(1.0 + r * r - abs(c) ** 2) / (2.0 * r) - lam) <= 1e-12
                 assert abs(abs(complex(math.cos(angle), math.sin(angle)) - c) - r) <= 1e-12
+
+
+def _boundary_cos(c, r):
+    """|cos| of the angle at which the circle (c, r) meets the unit circle."""
+    return abs(1.0 + r * r - abs(c) ** 2) / (2.0 * r)
+
+
+def test_horocycle_vertices_on_tangent_circle():
+    """lambda = 1 curves are Euclidean circles internally tangent to the boundary."""
+    geom = lambda_geometry(1.0)
+    for s in (-1.0, 0.0, 1.5):
+        for angle in (0.7, -2.0):
+            c, r = render.disk_circle(s, angle, geom)
+            assert abs(abs(c) + r - 1.0) <= 1e-12
+            assert abs(_boundary_cos(c, r) - 1.0) <= 1e-12
+
+
+def test_geodesic_meets_boundary_orthogonally():
+    geom = lambda_geometry(0.0)
+    for s in (-1.2, 0.8):
+        c, r = render.disk_circle(s, 1.1, geom)
+        assert _boundary_cos(c, r) <= 1e-12
+    # s = 0 = 2 delta: the geodesic through the centre is a diameter
+    sample = ProcessSample(config=ModelConfig(d=2, lam=0.0, R=3.0), s=np.array([0.0]),
+                           u=np.array([[math.cos(1.1), math.sin(1.1)]]), seed=0)
+    (line,) = list(_clipped_group(ET.fromstring(render.render_disk(sample))))
+    assert line.tag.endswith("line")
+    assert abs(float(line.get("x1")) + float(line.get("x2"))) <= 1e-15
+    assert abs(float(line.get("y1")) + float(line.get("y2"))) <= 1e-15
+
+
+def test_equidistant_boundary_angle():
+    """cos(boundary angle) = lambda, e.g. theta = pi/3 at lambda = 0.5."""
+    for lam in (0.3, 0.5, 0.9):
+        geom = lambda_geometry(lam)
+        for s in (-0.5, 0.3, 1.0):
+            c, r = render.disk_circle(s, 0.3, geom)
+            assert abs(_boundary_cos(c, r) - lam) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
