@@ -44,7 +44,6 @@ from .limitlaw import (
     limit_law_spec,
     limit_scale_constant,
     sample_limit,
-    sample_zeta,
 )
 from .stats import (
     k_statistics,

@@ -5,10 +5,10 @@ sizes h(s) = cosh^{-(d-2)}(s) over the half-line process zeta: a Poisson
 process on [0, infinity) with density rate * cosh^{d-1}(s), where
 rate = 2 m mu^{d-1} is the model's intensity m (mu cosh(s - delta))^{d-1}
 folded onto the half-line about delta.  This module owns zeta: the spec
-derives its rate, and its mean count and sampler live here.  Simulation is
-hybrid: jumps below a cutoff T0 are sampled exactly, the compensated
-small-jump tail beyond T0 is replaced by a Gaussian with the matching
-variance (the standard small-jump normal approximation; the bias is
+derives its rate, and its mean count and its one sampler, sample_limit, live
+here.  Simulation is hybrid: jumps below a cutoff T0 are sampled exactly,
+the compensated small-jump tail beyond T0 is replaced by a Gaussian with the
+matching variance (the standard small-jump normal approximation; the bias is
 controlled by the third cumulant of the tail).
 """
 
@@ -49,8 +49,6 @@ CF_BLOCK = 512
 CF_NODES = 600
 CF_S_MAX = 40.0
 MONOTONE_TOL = 1e-6
-# the largest mean numpy's Poisson sampler accepts
-POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 DRAWS_PER_STREAM = 10000
 # (sin z - z) / z^3 as a series in z^2, to z^13
 _SIN_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 3) for k in range(6))
@@ -122,28 +120,6 @@ def zeta_mean_count(spec: LimitLawSpec, T: float) -> float:
     """Mean number of points of zeta on [0, T]: rate K_{d-1}(T), K_n = int_0^T cosh^n."""
     K, _ = _cosh_power_primitive(spec.d - 1, float(T))
     return spec.rate * K
-
-
-def sample_zeta(spec: LimitLawSpec, T: float, seed: int) -> np.ndarray:
-    """The points of zeta on [0, T], sorted, from the stream (seed, 0); none if T <= 0.
-
-    Raises DomainError, before any draw, for a T whose mean count is not
-    finite or exceeds POISSON_MAX_MEAN.
-    """
-    if not math.isfinite(T):
-        raise DomainError(f"zeta is sampled on [0, T] for a finite T, got {T}")
-    if T <= 0.0:
-        return np.empty(0)
-    try:
-        mean = zeta_mean_count(spec, T)
-    except OverflowError:
-        mean = math.inf
-    if not mean <= POISSON_MAX_MEAN:
-        raise DomainError(f"zeta on [0, T] at T = {T} has mean count {mean:.3g}, "
-                          f"beyond the {POISSON_MAX_MEAN:.3g} a Poisson draw takes")
-    rng = make_rng(seed)
-    n = int(rng.poisson(mean))
-    return np.sort(_cosh_power_quantile(spec.d - 1, 0.0, T, rng.random(n)))
 
 
 def tail_variance(spec: LimitLawSpec, T: float) -> float:

@@ -9,10 +9,12 @@ generator, so values do not depend on execution order or memory budget.
 Every density sampled here is cosh^n on an interval [a, b] (the s-density in
 u = s - Delta, with n = d - 1), and one exact quantile serves them all: it
 solves K_n(u) = K_n(a) + p (K_n(b) - K_n(a)) with K_n = int_0^u cosh^n in closed
-form, by arcsinh at n = 1.  For n >= 2 every point takes two Halley steps,
-and a point whose last step e still has n^2 e^3 > 4 n eps u (the bound on the
-error that step leaves) goes on alone until one does.  |F(Q(p)) - p| is
-within a few ulps, and the error in s is about eps max|K_n| / cosh^n(s).
+form: by arcsinh at n = 1, by the nested arcsinh/sinh root of the cubic
+K_3 = x + x^3/3 (x = sinh u) at n = 3, and by Halley steps otherwise.  There
+every point takes two steps, and a point whose last step e still has
+n^2 e^3 > 4 n eps u (the bound on the error that step leaves) goes on alone
+until one does, within 12 + n // 8 steps.  |F(Q(p)) - p| is within a few
+ulps, and the error in s is about eps max|K_n| / cosh^n(s).
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .errors import DomainError, QuadratureError
 from .hyperbolic import ModelConfig, logcosh
 from .kernels import BLOCK
 
-# 2-9 steps converge for n <= 60, t in [1e-300, K_n(700/n)]; 2-3 for n <= 5
-HALLEY_MAX_STEPS = 12
 # a point stops once the n^2 e^3 error bound of its step e is within 4 n ulps
 # of u: the n-term reduction for K_n rounds about n times
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
@@ -158,6 +158,15 @@ def _cosh_power_inverse(n: int, t):
     t = np.asarray(t, dtype=np.float64)
     if n == 1:
         return np.arcsinh(t)
+    if n == 3:
+        # K_3 = x + x^3/3 in x = sinh u, and x = 2 sinh(theta) turns K_3 = t into
+        # sinh(3 theta) = 3t/2; odd in t, so no sign handling
+        u = 1.5 * t.reshape(-1)
+        np.arcsinh(u, out=u)
+        u /= 3.0
+        np.sinh(u, out=u)
+        u *= 2.0
+        return np.arcsinh(u, out=u).reshape(t.shape)
     a = np.abs(t.reshape(-1))
     # K_n(u) >= u and K_n(u) >= (e^{nu} - 1) / (n 2^n): u starts above the root,
     # and Halley steps on the convex increasing K_n stay above it
@@ -166,7 +175,10 @@ def _cosh_power_inverse(n: int, t):
     # own first converged step, so a root does not depend on the other points
     _halley_step(n, a, u)
     todo = np.flatnonzero(~_halley_converged(n, _halley_step(n, a, u), u))
-    for _ in range(HALLEY_MAX_STEPS - 2):
+    # the start's error grows with n, and so does the step count: 2-9 steps
+    # for n <= 60 over t in [1e-300, K_n(700/n)], 34 at n = 299, t = 1000
+    max_steps = 12 + n // 8
+    for _ in range(max_steps - 2):
         if not todo.size:
             break
         # repeating the points up to a multiple of 512 keeps the work arrays to
@@ -179,7 +191,7 @@ def _cosh_power_inverse(n: int, t):
         todo = todo[~converged[:todo.size]]
     if todo.size:
         raise QuadratureError(f"cosh^{n} inverse did not converge in "
-                              f"{HALLEY_MAX_STEPS} Halley steps")
+                              f"{max_steps} Halley steps")
     return np.copysign(u.reshape(t.shape), t)
 
 

@@ -15,6 +15,8 @@ from hypfluct.sampling import (
     _cosh_power_inverse,
     _cosh_power_primitive,
     _cosh_power_quantile,
+    _halley_converged,
+    _halley_step,
     _skip_uniforms,
     inverse_cdf,
     intensity_density,
@@ -164,8 +166,9 @@ def test_cosh_power_quantile_is_exact(n):
 
 @pytest.mark.parametrize("n", [*range(2, 8), 15, 30, 60])
 def test_cosh_power_inverse_stop_rule_at_every_n(n):
-    """The n^2 e^3 stop rule ends every point within HALLEY_MAX_STEPS, within
-    4 n ulps of the 40-digit root of the same reduction for K_n."""
+    """The n^2 e^3 stop rule ends every point within 12 + n // 8 steps, within
+    4 n ulps of the 40-digit root of the same reduction for K_n; at n = 3 the
+    closed form meets the same bound."""
     mpmath = pytest.importorskip("mpmath")
     top, _ = _cosh_power_primitive(n, 700.0 / n)
     K3, _ = _cosh_power_primitive(n, 3.0)
@@ -194,9 +197,50 @@ def test_cosh_power_inverse_stop_rule_at_every_n(n):
 
 def test_cosh_power_inverse_raises_at_step_cap():
     """A point that never converges, here a NaN, raises QuadratureError once
-    HALLEY_MAX_STEPS steps are spent."""
-    with pytest.raises(QuadratureError):
-        _cosh_power_inverse(3, np.array([1.0, np.nan]))
+    the 12 + n // 8 Halley steps are spent."""
+    with pytest.raises(QuadratureError, match="12 Halley steps"):
+        _cosh_power_inverse(4, np.array([1.0, np.nan]))
+
+
+def _n3_arguments():
+    top, _ = _cosh_power_primitive(3, 700.0 / 3)
+    t = np.geomspace(1e-300, top, 400)
+    return np.concatenate([-t[::-1], [0.0], t])
+
+
+def test_cosh_power_inverse_closed_form_at_n3():
+    """At n = 3 the nested arcsinh/sinh root of x + x^3/3 = t, x = sinh u, is
+    within 1e-15 relative of the 40-digit root, odd in t and exactly 0 at 0."""
+    mpmath = pytest.importorskip("mpmath")
+    t = _n3_arguments()
+    u = _cosh_power_inverse(3, t)
+    assert u[t.size // 2] == 0.0
+    np.testing.assert_array_equal(u, -u[::-1])
+    with mpmath.workdps(40):
+        ref = []
+        for ti, ui in zip(t, u):
+            x, target = mpmath.sinh(mpmath.mpf(float(ui))), mpmath.mpf(float(ti))
+            for _ in range(6):  # Newton on the cubic from within a few ulps
+                x -= (x + x ** 3 / 3 - target) / (1 + x * x)
+            ref.append(float(mpmath.asinh(x)))
+    np.testing.assert_allclose(u, np.array(ref), rtol=1e-15, atol=0.0)
+
+
+def test_cosh_power_inverse_n3_agrees_with_halley():
+    """The closed form at n = 3 agrees at 1e-15 with Halley steps on K_3 from
+    the start the other n take, run until every point meets the stop rule."""
+    t = np.concatenate([_n3_arguments(), 30.0 * make_rng(3).random(400)])
+    a = np.abs(t)
+    u = np.minimum(a, np.log1p(24.0 * a) / 3)
+    done = np.zeros(t.size, dtype=bool)
+    for _ in range(12):
+        e = _halley_step(3, a, u)
+        done |= _halley_converged(3, e, u)
+        if done.all():
+            break
+    assert done.all()
+    np.testing.assert_allclose(_cosh_power_inverse(3, t), np.copysign(u, t),
+                               rtol=1e-15, atol=0.0)
 
 
 # an index of make_rng(0).random(200_000) whose p needs a third Halley step
