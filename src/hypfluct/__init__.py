@@ -42,7 +42,6 @@ from .limitlaw import (
     levy_density,
     limit_cumulant,
     limit_law_spec,
-    limit_scale_constant,
     sample_limit,
 )
 from .stats import (

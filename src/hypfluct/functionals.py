@@ -25,7 +25,7 @@ from .hyperbolic import (
     scale_constant,
 )
 from .limitlaw import limit_cumulant, limit_law_spec
-from .sampling import (inverse_cdf, log_intensity_density, make_rng, mean_count,
+from .sampling import (_poisson_mean, inverse_cdf, log_intensity_density, make_rng,
                        poisson_block_sums)
 
 MAX_CUMULANT_ORDER = 8
@@ -177,8 +177,8 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
         return np.stack(kernels.signed_sums(kernels.section_volumes(s, config), s, offsets))
 
     sums = np.empty((2, n_replicates))
-    for start, _, block_sums in poisson_block_sums(
-            mean_count(config), n_replicates, lambda b: make_rng(seed, b),
+    for start, block_sums in poisson_block_sums(
+            _poisson_mean(config), n_replicates, lambda b: make_rng(seed, b),
             REPLICATES_PER_STREAM, sums_of):
         sums[:, start:start + block_sums.shape[1]] = block_sums
     pos, neg = sums

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, UnsupportedDimensionError
 
@@ -62,16 +61,6 @@ def exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def arcosh(t: float) -> float:
-    """Inverse hyperbolic cosine via the logarithmic representation."""
-    if t < 1.0:
-        raise DomainError(f"arcosh argument {t} < 1")
-    if t < 1e150:
-        return math.log(t + math.sqrt(t * t - 1.0))
-    # sqrt(t^2-1) ~ t for huge t
-    return math.log(t) + LOG2
-
-
 def arcosh1p_from_log(log_x):
     """arcosh(1 + x) given log x, for a float or an array (0 at log x = -inf)."""
     # above log x = 40, arcosh(1 + x) = log(2x) + O(1/x), and 1/x < 5e-18
@@ -99,7 +88,8 @@ def ball_kappa(d: int) -> float:
     """Volume kappa_d = pi^{d/2}/Gamma(d/2+1) of the Euclidean unit ball in R^d."""
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    return math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0 + 1.0))
+    # in log space: Gamma(d/2 + 1) alone overflows from d = 343
+    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0))
 
 
 def sphere_area(d: int) -> float:
@@ -115,17 +105,14 @@ def sphere_area(d: int) -> float:
 class LambdaGeometry:
     """Derived constants of the curvature parameter lambda in [0, 1].
 
-    theta is the boundary intersection angle (cos theta = lambda), mu its
-    sine, m its tangent and delta the distance of the equidistant to its base
-    geodesic.  m and delta are ``math.inf`` exactly in the degenerate cases
-    lambda = 0 and lambda = 1 respectively; consumers must special-case the
-    sentinels rather than feed them into further arithmetic.
+    mu = sqrt(1 - lambda^2) is the sine of the boundary intersection angle and
+    delta = artanh(lambda) the distance of the equidistant to its base
+    geodesic; delta is ``math.inf`` exactly at lambda = 1 (horospheres), where
+    consumers take the horosphere branch instead.
     """
 
     lam: float
-    theta: float
     mu: float
-    m: float
     delta: float
 
     @property
@@ -136,11 +123,9 @@ class LambdaGeometry:
 def lambda_geometry(lam: float) -> LambdaGeometry:
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-    theta = math.acos(lam)
     mu = math.sqrt((1.0 - lam) * (1.0 + lam))
-    m = math.inf if lam == 0.0 else mu / lam
     delta = math.inf if lam == 1.0 else math.atanh(lam)
-    return LambdaGeometry(lam=lam, theta=theta, mu=mu, m=m, delta=delta)
+    return LambdaGeometry(lam=lam, mu=mu, delta=delta)
 
 
 def scale_constant(d: int, geom: LambdaGeometry) -> float:
@@ -153,7 +138,8 @@ def scale_constant(d: int, geom: LambdaGeometry) -> float:
         raise UnsupportedDimensionError("the scale constant requires d >= 3")
     if geom.is_horospheric:
         raise UnsupportedDimensionError("the scale constant requires lambda < 1")
-    return sphere_area(d - 1) / ((d - 2) * 2.0 ** (d - 2) * geom.mu)
+    # ldexp scales by 2^{2-d} exactly, where 2.0 ** (d - 2) overflows from d = 1026
+    return math.ldexp(sphere_area(d - 1) / ((d - 2) * geom.mu), 2 - d)
 
 
 @dataclass(frozen=True)
@@ -244,7 +230,7 @@ def rho_ugly(geom: LambdaGeometry, s: float, R: float) -> float:
     if q < 1.0:
         return 0.0
     w = math.sqrt(1.0 - q ** -2)
-    return 0.5 * math.log((1.0 + w) / (1.0 - w)) if w < 1.0 else arcosh(q)
+    return 0.5 * math.log((1.0 + w) / (1.0 - w)) if w < 1.0 else math.acosh(q)
 
 
 def rho_bounds(geom: LambdaGeometry, s: float, R: float):
@@ -376,23 +362,15 @@ def intersection_volume(config: ModelConfig, s: float) -> float:
     return exp_or_inf(log_intersection_volume(config, s))
 
 
-def log_intersection_volume_bound(config: ModelConfig, s: float) -> float:
-    """log of the uniform upper bound on the section volume (d >= 3)."""
+def intersection_volume_bound(config: ModelConfig, s: float) -> float:
+    """The uniform upper bound on the section volume (d >= 3)."""
     geom = config.geometry
-    return (math.log(scale_constant(config.d, geom)) + (config.d - 2) * (
+    return exp_or_inf(math.log(scale_constant(config.d, geom)) + (config.d - 2) * (
         LOG2 - math.log(geom.mu) + logcosh(config.R + geom.delta) - logcosh(s - geom.delta)))
 
 
-def intersection_volume_bound(config: ModelConfig, s: float) -> float:
-    return exp_or_inf(log_intersection_volume_bound(config, s))
-
-
-def log_intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
-    """log of the fixed-s, large-R asymptote of the section volume (d >= 3)."""
-    geom = config.geometry
-    return (math.log(scale_constant(config.d, geom))
-            + (config.d - 2) * (config.R - logcosh(s - geom.delta)))
-
-
 def intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
-    return exp_or_inf(log_intersection_volume_asymptote(config, s))
+    """The fixed-s, large-R asymptote of the section volume (d >= 3)."""
+    geom = config.geometry
+    return exp_or_inf(math.log(scale_constant(config.d, geom))
+                      + (config.d - 2) * (config.R - logcosh(s - geom.delta)))

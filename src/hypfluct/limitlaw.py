@@ -54,14 +54,6 @@ DRAWS_PER_STREAM = 10000
 _SIN_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 3) for k in range(6))
 
 
-def limit_scale_constant(d: int, lam: float) -> float:
-    """The scale constant c_{d,lambda} of the limit law (d >= 4); infinite at lambda=1."""
-    if d < 4:
-        raise DomainError("the non-Gaussian limit requires d >= 4")
-    geom = lambda_geometry(lam)
-    return math.inf if geom.is_horospheric else scale_constant(d, geom)
-
-
 def cosh_power_integral(h: float) -> float:
     """int_{-inf}^{inf} cosh(y)^{-h} dy = B(h/2, 1/2) = sqrt(pi) Gamma(h/2)/Gamma((h+1)/2)."""
     if h <= 0.0:
@@ -283,10 +275,10 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
 
     Each draw is the compensated jump sum over [0, T0] plus an independent
     Gaussian carrying the small-jump tail variance.  Block b of
-    DRAWS_PER_STREAM draws takes its jump counts, its jump uniforms in draw
-    order, then its tail normals from the stream (seed, b); about
-    max(POINT_BUDGET, one draw) jumps are held at once.  A draw depends only
-    on (spec, seed, draw index), not on n.
+    DRAWS_PER_STREAM draws takes its jump counts and its jump uniforms in draw
+    order from the stream (seed, b), and its tail normals from that stream's
+    first child; about max(POINT_BUDGET, one draw) jumps are held at once.  A
+    draw depends only on (spec, seed, draw index), not on n.
     """
     mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)
@@ -300,8 +292,9 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
         return kernels.zeta_increment_sums(h, offsets)
 
     out = np.empty(n)
-    for start, rng, sums in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),
-                                               DRAWS_PER_STREAM, sums_of):
+    for start, sums in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),
+                                          DRAWS_PER_STREAM, sums_of):
+        tail = make_rng(seed, start // DRAWS_PER_STREAM).spawn(1)[0]
         out[start:start + sums.size] = (sums - compensator
-                                        + sigma_tail * rng.standard_normal(sums.size))
+                                        + sigma_tail * tail.standard_normal(sums.size))
     return out

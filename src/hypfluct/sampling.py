@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .hyperbolic import ModelConfig, logcosh
+from .hyperbolic import LOG2, ModelConfig, logcosh
 from .kernels import BLOCK
 
 # a point stops once the n^2 e^3 error bound of its step e is within 4 n ulps
@@ -35,6 +35,8 @@ from .kernels import BLOCK
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # points poisson_block_sums draws and reduces at once, in whole replicates
 POINT_BUDGET = 1 << 20
+# the largest mean numpy's Poisson sampler accepts
+POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 MAGIC = b"HYPF"
 DUMP_VERSION = 2
@@ -47,22 +49,6 @@ def make_rng(seed: int, replicate_index: int = 0) -> np.random.Generator:
     """Counter-based splittable stream keyed by (seed, replicate_index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate_index,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _skip_uniforms(rng: np.random.Generator, k: int) -> None:
-    """Move a make_rng stream on as if rng.random(k) had been drawn.
-
-    A uniform takes one 64-bit output; Philox makes them 4 per counter step,
-    so the buffered ones are drawn, whole steps are skipped by advance and
-    the rest drawn: O(1) work for any k.
-    """
-    bitgen = rng.bit_generator
-    head = min(k, 4 - bitgen.state["buffer_pos"])
-    rng.random(head)
-    steps, tail = divmod(k - head, 4)
-    if steps:  # advance drops the buffer, which head has emptied once steps > 0
-        bitgen.advance(steps)
-    rng.random(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +72,27 @@ def intensity_density(config: ModelConfig, s) -> float:
 
 
 def mean_count(config: ModelConfig) -> float:
-    """Integral of the intensity density over [-R, R]."""
+    """Integral of the intensity density over [-R, R]; inf beyond double range."""
     d, R = config.d, config.R
     mult = config.intensity_multiplier
     geom = config.geometry
-    if geom.is_horospheric:
-        return mult * 2.0 * math.sinh((d - 1) * R) / (d - 1)
-    K_left, _ = _cosh_power_primitive(d - 1, R + geom.delta)
-    K_right, _ = _cosh_power_primitive(d - 1, R - geom.delta)
-    return mult * geom.mu ** (d - 1) * (K_left + K_right)
+    try:
+        if geom.is_horospheric:
+            return mult * 2.0 * math.sinh((d - 1) * R) / (d - 1)
+        K_left, _ = _cosh_power_primitive(d - 1, R + geom.delta)
+        K_right, _ = _cosh_power_primitive(d - 1, R - geom.delta)
+        return mult * geom.mu ** (d - 1) * (K_left + K_right)
+    except OverflowError:                         # from math.sinh
+        return math.inf
+
+
+def _poisson_mean(config: ModelConfig) -> float:
+    """mean_count(config), refused with DomainError where numpy cannot draw the count."""
+    mean = mean_count(config)
+    if not mean <= POISSON_MAX_MEAN:
+        raise DomainError(f"the mean count {mean:.4g} at R = {config.R} is beyond the "
+                          f"{POISSON_MAX_MEAN:.4g} a Poisson draw takes")
+    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +167,11 @@ def _cosh_power_inverse(n: int, t):
         return np.arcsinh(u, out=u).reshape(t.shape)
     a = np.abs(t.reshape(-1))
     # K_n(u) >= u and K_n(u) >= (e^{nu} - 1) / (n 2^n): u starts above the root,
-    # and Halley steps on the convex increasing K_n stay above it
-    u = np.minimum(a, np.log1p(n * 2.0 ** n * a) / n)
+    # and Halley steps on the convex increasing K_n stay above it.  The second
+    # bound is log 2 + log(n a + 2^-n) / n, which cannot overflow; where 2^-n
+    # underflows (n >= 1075) the larger ulp(0) keeps it a bound and a = 0 at 0
+    floor = max(math.ldexp(1.0, -n), math.ulp(0.0))
+    u = np.minimum(a, LOG2 + np.log(n * a + floor) / n)
     # every point takes two steps; the rest go on alone, each stopping at its
     # own first converged step, so a root does not depend on the other points
     _halley_step(n, a, u)
@@ -275,7 +276,7 @@ class ProcessSample:
 def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> ProcessSample:
     """Draw one Poisson realization of the process restricted to [-R, R]."""
     rng = make_rng(seed, replicate_index)
-    n = int(rng.poisson(mean_count(config)))
+    n = int(rng.poisson(_poisson_mean(config)))
     s = inverse_cdf(config, rng.random(n))
     g = rng.standard_normal((n, config.d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -285,27 +286,24 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> 
 
 
 def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
-    """Yield (start, rng, sums) per block of replicates of Poisson(mean) points.
+    """Yield (start, sums) per block of replicates of Poisson(mean) points.
 
-    Block b covers replicates [b block, b block + m) and draws block counts,
-    then the uniforms of its m replicates in replicate order, from rng_of(b).
+    Block b covers replicates [b block, b block + m), m = min(block, n - b block),
+    and draws from rng_of(b) the counts of a whole block, then the uniforms of
+    its first m replicates in replicate order; so no value depends on n.
     sums_of(p, offsets) reduces the uniforms p of whole replicates (i-th at
     offsets[i]) to sums along its last axis, max(1, POINT_BUDGET // ceil(mean))
-    replicates per call, so no sum depends on the budget.  A block is yielded
-    with rng past the uniforms of all its block replicates, for the caller to
-    draw more from it; a partial last block keeps its first m counts and skips
-    the rest of the uniforms, so no value depends on n.
+    replicates per call, so no sum depends on the budget either.
     """
     per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
         rng = rng_of(b)
-        counts, unused = np.split(rng.poisson(mean, size=block), [n - start])
+        counts = rng.poisson(mean, size=block)[:n - start]
         sums = []
         for i in range(0, counts.size, per_call):
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             sums.append(sums_of(rng.random(int(offsets[-1])), offsets))
-        _skip_uniforms(rng, int(unused.sum()))
-        yield start, rng, np.concatenate(sums, axis=-1)
+        yield start, np.concatenate(sums, axis=-1)
 
 
 # ---------------------------------------------------------------------------

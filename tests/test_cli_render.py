@@ -139,6 +139,21 @@ def test_non_finite_model_inputs_exit_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_mean_count_beyond_poisson_limit_exits_1(tmp_path, monkeypatch, capsys):
+    """At R = 50 the d = 2 mean count is 5.2e21, beyond numpy's Poisson limit:
+    a one-line error, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["crofton", "--d", "2", "--R", "50", "--n", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "R = 50.0" in err
+    assert "Traceback" not in err and not (tmp_path / "crofton.csv").exists()
+
+
+def test_limit_command_at_d343(tmp_path):
+    """Gamma(d/2 + 1) leaves double range at d = 343; kappa_d is formed in log space."""
+    assert cli.main(["limit", "--d", "343", "--n", "50", "--out", str(tmp_path / "l")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # subcommand outputs
 # ---------------------------------------------------------------------------

@@ -40,12 +40,12 @@ from hypfluct.hyperbolic import (
     intersection_volume,
     intersection_volume_asymptote,
     intersection_volume_bound,
+    scale_constant,
 )
 from hypfluct.limitlaw import (
     cosh_power_integral,
     limit_cumulant,
     limit_law_spec,
-    limit_scale_constant,
     sample_limit,
 )
 
@@ -236,7 +236,8 @@ def test_limit_constants_agree_across_modules(d, lam):
     spec = limit_law_spec(d, lam)
     for k in (2, 3, 4):
         assert normalized_cumulant_limit(d, lam, k) == pytest.approx(
-            limit_scale_constant(d, lam) ** k * limit_cumulant(spec, k), rel=1e-14)
+            scale_constant(d, lambda_geometry(lam)) ** k * limit_cumulant(spec, k),
+            rel=1e-14)
     config = ModelConfig(d=d, lam=lam, R=1.0)
     for s in (-0.9, 0.0, 0.4, 0.95):
         assert (intersection_volume_asymptote(config, s) * math.exp(-(d - 2) * config.R)
@@ -312,6 +313,18 @@ def test_values_do_not_depend_on_n():
         np.testing.assert_array_equal(a, b[:100])
     spec = limit_law_spec(4)
     np.testing.assert_array_equal(sample_limit(spec, 5, 1), sample_limit(spec, 6, 1)[:5])
+
+
+@pytest.mark.parametrize("d, lam, R", [(2, 0.0, 50.0), (2, 0.0, 800.0), (2, 1.0, 800.0)])
+def test_mean_count_beyond_poisson_limit_is_refused(d, lam, R):
+    """A mean count beyond numpy's Poisson limit (5.2e21 at R = 50) or beyond
+    double range (inf at R = 800) is a DomainError naming it and R, before
+    anything is drawn."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    assert mean_count(config) > 1e21
+    for draw in (lambda: sample_process(config, 0), lambda: simulate_surface(config, 3, 0)):
+        with pytest.raises(DomainError, match=f"mean count .* at R = {R}"):
+            draw()
 
 
 def test_simulate_surface_split_consistency():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from hypfluct import sampling
+from hypfluct import kernels, sampling
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
     COS_HALF_WIDTH,
+    DRAWS_PER_STREAM,
     _compensated_cis,
     _cosh_power_tail,
     cdf_via_inversion,
@@ -19,7 +20,6 @@ from hypfluct.limitlaw import (
     levy_density,
     limit_cumulant,
     limit_law_spec,
-    limit_scale_constant,
     log_characteristic_function,
     sample_limit,
     tail_third_cumulant,
@@ -63,10 +63,7 @@ def test_limit_cumulant_scales_with_rate():
 
 
 def test_limit_scale_constant_values():
-    assert limit_scale_constant(4, 0.0) == pytest.approx(math.pi / 2.0, rel=1e-14)
-    assert limit_scale_constant(4, 1.0) == math.inf
-    with pytest.raises(DomainError):
-        limit_scale_constant(3, 0.0)
+    assert limit_law_spec(4).scale_constant == pytest.approx(math.pi / 2.0, rel=1e-14)
 
 
 def test_default_rate_matches_oriented_convention():
@@ -126,6 +123,15 @@ def test_spec_at_high_dimension(d):
     spec = limit_law_spec(d)
     assert zeta_mean_count(spec, spec.T0) == pytest.approx(1000.0, rel=1e-13)
     assert np.all(np.isfinite(sample_limit(spec, 20, 1)))
+
+
+@pytest.mark.parametrize("d", [343, 1026, 1500])
+def test_spec_beyond_double_range_gamma(d):
+    """From d = 343 Gamma(d/2 + 1) and from d = 1026 2^{d-2} leave double
+    range, and near n = 500 so did n 2^n K in the Halley start; the spec is
+    still built, and K_{d-1} rounds about d times."""
+    spec = limit_law_spec(d)
+    assert zeta_mean_count(spec, spec.T0) == pytest.approx(1000.0, rel=4 * d * 2.0 ** -52)
 
 
 def test_variance_splits_at_cutoff(spec4):
@@ -342,6 +348,25 @@ def test_sample_limit_chunking_invariant(spec4, monkeypatch):
         runs.append(sample_limit(spec4, 500, seed=3))
     for run in runs[1:]:
         np.testing.assert_array_equal(run, runs[0])
+
+
+@pytest.mark.parametrize("d, lam", [(4, 0.0), (5, 0.3)])
+def test_sample_limit_block_rebuilt_by_hand(d, lam):
+    """The partial second block, rebuilt from its streams: the counts of a
+    whole block and the jump uniforms of its first m draws from the stream
+    (seed, 1), the tail normals from that stream's first child."""
+    spec = limit_law_spec(d, lam)
+    m, seed = 7, 4
+    draws = sample_limit(spec, DRAWS_PER_STREAM + m, seed)[DRAWS_PER_STREAM:]
+    rng = sampling.make_rng(seed, 1)
+    counts = rng.poisson(zeta_mean_count(spec, spec.T0), size=DRAWS_PER_STREAM)[:m]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    jumps = sampling._cosh_power_quantile(d - 1, 0.0, spec.T0, rng.random(offsets[-1]))
+    sums = kernels.zeta_increment_sums(np.cosh(jumps) ** -(d - 2), offsets)
+    tail = sampling.make_rng(seed, 1).spawn(1)[0].standard_normal(m)
+    expected = (sums - spec.rate * math.sinh(spec.T0)
+                + math.sqrt(spec.tail_variance) * tail)
+    np.testing.assert_array_equal(draws, expected)
 
 
 def test_sample_limit_holds_one_jump_array():
