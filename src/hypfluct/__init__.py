@@ -7,7 +7,6 @@ from .hyperbolic import (
     ModelConfig,
     ball_volume,
     intersection_volume,
-    intersection_volume_asymptote,
     intersection_volume_bound,
     lambda_geometry,
     rho,

@@ -45,6 +45,9 @@ OPTIONS = {"d": ("d", int), "lambda": ("lam", float), "R": ("R_list", _parse_r_l
 # flags a command does not read; a config file may set these keys, so that one
 # file can describe an experiment that several commands run
 _UNREAD = {"cumulants": ("n", "seed"), "limit": ("R",), "render": ("n",)}
+# the fewest replicates a command can use: a sample variance needs 2, the
+# k-statistics up to k4 need 4
+_MIN_N = {"variance": 2, "limit": 4, "regimes": 4}
 
 
 def _read_config_file(path) -> list:
@@ -82,8 +85,9 @@ def _resolve(args: dict) -> ExperimentConfig:
             raise ValueError(f"{where}: malformed value {text!r} ({exc})") from None
     if command in ("sample", "render") and args["R"] is not None and len(cfg.R_list) > 1:
         raise ValueError(f"{command} takes one radius, got --R {args['R']}")
-    if cfg.n_replicates < 1:
-        raise ValueError("n must be >= 1")
+    min_n = _MIN_N.get(command, 1)
+    if cfg.n_replicates < min_n:
+        raise ValueError(f"{command} needs n >= {min_n}, got {cfg.n_replicates}")
     if not 0.0 <= cfg.lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {cfg.lam}")
     return cfg

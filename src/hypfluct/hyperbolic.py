@@ -368,9 +368,3 @@ def intersection_volume_bound(config: ModelConfig, s: float) -> float:
     return exp_or_inf(math.log(scale_constant(config.d, geom)) + (config.d - 2) * (
         LOG2 - math.log(geom.mu) + logcosh(config.R + geom.delta) - logcosh(s - geom.delta)))
 
-
-def intersection_volume_asymptote(config: ModelConfig, s: float) -> float:
-    """The fixed-s, large-R asymptote of the section volume (d >= 3)."""
-    geom = config.geometry
-    return exp_or_inf(math.log(scale_constant(config.d, geom))
-                      + (config.d - 2) * (config.R - logcosh(s - geom.delta)))

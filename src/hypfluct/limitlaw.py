@@ -9,7 +9,7 @@ derives its rate, and its mean count and its one sampler, sample_limit, live
 here.  Simulation is hybrid: jumps below a cutoff T0 are sampled exactly,
 the compensated small-jump tail beyond T0 is replaced by a Gaussian with the
 matching variance (the standard small-jump normal approximation; the bias is
-controlled by the third cumulant of the tail).
+controlled by the third cumulant of the tail, limit_cumulant(spec, 3, spec.T0)).
 """
 
 from __future__ import annotations
@@ -61,24 +61,23 @@ def cosh_power_integral(h: float) -> float:
     return math.sqrt(math.pi) * math.exp(gammaln(h / 2.0) - gammaln((h + 1.0) / 2.0))
 
 
-def _cosh_power_tail(p: float, T: float) -> float:
-    """int_T^infinity cosh(s)^p ds = B(h/2, 1/2) I_{sech^2 T}(h/2, 1/2) / 2, h = -p."""
-    h = -p
-    # sech^2 T through logcosh, which does not overflow at large T
-    sech2 = math.exp(-2.0 * logcosh(T))
-    return 0.5 * cosh_power_integral(h) * float(betainc(0.5 * h, 0.5, sech2))
-
-
 @dataclass(frozen=True)
 class LimitLawSpec:
-    """Parameters of one limit law (d >= 4, lambda < 1)."""
+    """Parameters of one limit law (d >= 4, lambda < 1).
+
+    tail_variance, the variance of the compensated jumps beyond T0 that
+    sample_limit replaces by a Gaussian, is derived: limit_cumulant(spec, 2, T0).
+    """
 
     d: int
     lam: float
     rate: float
     T0: float
-    tail_variance: float
     scale_constant: float
+
+    @property
+    def tail_variance(self) -> float:
+        return limit_cumulant(self, 2, self.T0)
 
 
 def limit_law_spec(d: int, lam: float = 0.0, multiplier: float = 1.0) -> LimitLawSpec:
@@ -98,9 +97,7 @@ def limit_law_spec(d: int, lam: float = 0.0, multiplier: float = 1.0) -> LimitLa
         raise DomainError(f"the limit law requires a multiplier in (0, inf), got {multiplier}")
     rate = 2.0 * multiplier * geom.mu ** (d - 1)
     T0 = float(_cosh_power_inverse(d - 1, DEFAULT_POINTS_PER_DRAW / rate))
-    tail_var = rate * _cosh_power_tail(3 - d, T0)
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
-                        tail_variance=tail_var,
                         scale_constant=scale_constant(d, geom))
 
 
@@ -114,34 +111,23 @@ def zeta_mean_count(spec: LimitLawSpec, T: float) -> float:
     return spec.rate * K
 
 
-def tail_variance(spec: LimitLawSpec, T: float) -> float:
-    """Variance of the compensated jump sum beyond T."""
-    return spec.rate * _cosh_power_tail(3 - spec.d, T)
+def limit_cumulant(spec: LimitLawSpec, ell: int, T: float = 0.0) -> float:
+    """ell-th cumulant of zeta's compensated jumps beyond T.
 
-
-def truncated_variance(spec: LimitLawSpec, T: float) -> float:
-    """Variance rate * int_0^T cosh^{3-d} of the compensated sum up to T.
-
-    With h = d - 3, int_0^T cosh^{-h} = B(1/2, h/2) I_{tanh^2 T}(1/2, h/2) / 2.
+    rate * int_T^inf cosh^{-h} = rate * B(h/2, 1/2) I_{sech^2 T}(h/2, 1/2) / 2
+    with h = (d-2) ell - (d-1): T = 0 gives the cumulants of the limit law,
+    T = spec.T0 those of the tail that sample_limit replaces by a Gaussian.
     """
-    h = spec.d - 3
-    return (spec.rate * 0.5 * cosh_power_integral(h)
-            * float(betainc(0.5, 0.5 * h, math.tanh(T) ** 2)))
-
-
-def tail_third_cumulant(spec: LimitLawSpec, T: float | None = None) -> float:
-    """Third cumulant of the tail beyond T (bias of the Gaussian substitute)."""
-    T = spec.T0 if T is None else T
-    return spec.rate * _cosh_power_tail(5 - 2 * spec.d, T)
-
-
-def limit_cumulant(spec: LimitLawSpec, ell: int) -> float:
-    """Closed-form cumulants: rate * B(h/2, 1/2) / 2, h = (d-2) ell - (d-1)."""
     if ell < 1:
         raise DomainError("cumulant order must be >= 1")
+    if not T >= 0.0:
+        raise DomainError(f"the cutoff T must be >= 0, got {T}")
     if ell == 1:
         return 0.0
-    return spec.rate * 0.5 * cosh_power_integral((spec.d - 2) * ell - (spec.d - 1))
+    h = (spec.d - 2) * ell - (spec.d - 1)
+    # sech^2 T through logcosh, which does not overflow at large T
+    sech2 = math.exp(-2.0 * logcosh(T))
+    return spec.rate * (0.5 * cosh_power_integral(h) * float(betainc(0.5 * h, 0.5, sech2)))
 
 
 def levy_density(d: int, y) -> float:

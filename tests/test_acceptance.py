@@ -3,8 +3,11 @@
 Criterion 7's first clause is asserted as stated and is expected to fail:
 at R = 10 the normalized horosphere functional (d = 2, lambda = 1) is still
 measurably closer to the unit normal than to the variance-1/2 limit
-(confirmed at 40000 replicates; the crossover radius is beyond 14). The
-decreasing trend clause is true and holds.
+(confirmed at 40000 replicates). The crossover lies between R = 12 and
+12.5: the exact-law table of ROADMAP item 1, from a scratch exact-law
+computation not yet in the repo, gives Kolmogorov distances to N(0, 1) /
+N(0, 1/2) of 0.0552 / 0.0570 at R = 12 and 0.0557 / 0.0551 at R = 12.5.
+The decreasing trend clause is true and holds.
 
 The red is not a normalization error: ``variance`` equals the closed form
 16 (R cosh R - sinh R) and ``expected_surface_area`` equals

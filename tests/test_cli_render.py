@@ -149,6 +149,18 @@ def test_mean_count_beyond_poisson_limit_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err and not (tmp_path / "crofton.csv").exists()
 
 
+def test_too_few_replicates_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A replicate count the command cannot use is refused before any work."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["variance", "--d", "2", "--R", "2", "--n", "1"],
+                 ["limit", "--d", "4", "--n", "3"],
+                 ["regimes", "--d", "2", "--R", "2", "--n", "3"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(["crofton", "--d", "2", "--R", "1", "--n", "1"]) == 0
+
+
 def test_limit_command_at_d343(tmp_path):
     """Gamma(d/2 + 1) leaves double range at d = 343; kappa_d is formed in log space."""
     assert cli.main(["limit", "--d", "343", "--n", "50", "--out", str(tmp_path / "l")]) == 0

@@ -38,7 +38,6 @@ from hypfluct.functionals import (
 )
 from hypfluct.hyperbolic import (
     intersection_volume,
-    intersection_volume_asymptote,
     intersection_volume_bound,
     scale_constant,
 )
@@ -238,10 +237,6 @@ def test_limit_constants_agree_across_modules(d, lam):
         assert normalized_cumulant_limit(d, lam, k) == pytest.approx(
             scale_constant(d, lambda_geometry(lam)) ** k * limit_cumulant(spec, k),
             rel=1e-14)
-    config = ModelConfig(d=d, lam=lam, R=1.0)
-    for s in (-0.9, 0.0, 0.4, 0.95):
-        assert (intersection_volume_asymptote(config, s) * math.exp(-(d - 2) * config.R)
-                == pytest.approx(limit_profile(d, lam, s), rel=1e-14))
 
 
 def test_normalized_profile_converges_to_limit_profile():

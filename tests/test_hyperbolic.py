@@ -19,7 +19,6 @@ from hypfluct.hyperbolic import (
     ball_kappa,
     ball_volume,
     intersection_volume,
-    intersection_volume_asymptote,
     intersection_volume_bound,
     lambda_geometry,
     log_ball_volume,
@@ -30,6 +29,7 @@ from hypfluct.hyperbolic import (
     rho,
     rho_bounds,
     rho_ugly,
+    scale_constant,
     sphere_area,
 )
 
@@ -345,12 +345,14 @@ def test_intersection_volume_bound_requires_d3_plus():
 
 
 def test_asymptote_ratio_monotone_to_one():
+    """The section volume over its fixed-s asymptote c e^{(d-2)(R - log cosh(s - delta))}."""
     s = 1.0
     ratios = []
     for R in (4.0, 6.0, 8.0, 10.0):
         config = ModelConfig(d=4, lam=0.5, R=R)
-        ratios.append(intersection_volume(config, s)
-                      / intersection_volume_asymptote(config, s))
+        geom = config.geometry
+        asymptote = scale_constant(4, geom) * math.exp(2 * (R - logcosh(s - geom.delta)))
+        ratios.append(intersection_volume(config, s) / asymptote)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, abs=1e-3)
 

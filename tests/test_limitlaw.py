@@ -14,7 +14,6 @@ from hypfluct.limitlaw import (
     COS_HALF_WIDTH,
     DRAWS_PER_STREAM,
     _compensated_cis,
-    _cosh_power_tail,
     cdf_via_inversion,
     characteristic_function,
     levy_density,
@@ -22,9 +21,6 @@ from hypfluct.limitlaw import (
     limit_law_spec,
     log_characteristic_function,
     sample_limit,
-    tail_third_cumulant,
-    tail_variance,
-    truncated_variance,
     zeta_mean_count,
 )
 from hypfluct.stats import ks_distance
@@ -49,7 +45,7 @@ def test_limit_cumulants_d4_rate1(spec4):
 def test_limit_cumulant_divergence_guard(spec4):
     with pytest.raises(DomainError):
         limit_cumulant(spec4, 0)
-    # d=4, l=1 has h = -1 <= 0 only for l=1 which returns 0; check d=5 l=1 path
+    # l = 1 has h = -1 and returns 0 before the divergence guard; d = 5, l = 2 has h = 2
     spec5 = limit_law_spec(5, 0.0, multiplier=0.5)
     assert limit_cumulant(spec5, 2) > 0.0
 
@@ -134,32 +130,42 @@ def test_spec_beyond_double_range_gamma(d):
     assert zeta_mean_count(spec, spec.T0) == pytest.approx(1000.0, rel=4 * d * 2.0 ** -52)
 
 
+@pytest.mark.parametrize("d,ell,T", [(4, 2, 0.5), (4, 2, 3.1), (6, 2, 7.5), (8, 2, 2.0),
+                                     (4, 3, 1.0), (5, 4, 2.5)])
+def test_limit_cumulant_beyond_T_against_mpmath(d, ell, T):
+    """rate * int_T^inf cosh^{(d-1) - ell (d-2)} against 40-digit mpmath (rate 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    p = (d - 1) - ell * (d - 2)
+    with mpmath.workdps(40):
+        tail = mpmath.quad(lambda s: mpmath.cosh(s) ** p, [T, mpmath.inf])
+    spec = limit_law_spec(d, 0.0, multiplier=0.5)
+    assert limit_cumulant(spec, ell, T) == pytest.approx(float(tail), rel=1e-13)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_limit_cumulant_falls_with_T(spec4, ell):
+    values = [limit_cumulant(spec4, ell, T) for T in (0.0, 0.5, spec4.T0)]
+    assert values[0] > values[1] > values[2] > 0.0
+    # far out the tail underflows to 0 rather than overflowing cosh
+    assert limit_cumulant(spec4, ell, 1000.0) == 0.0
+
+
 def test_variance_splits_at_cutoff(spec4):
-    total = limit_cumulant(spec4, 2)
-    assert truncated_variance(spec4, spec4.T0) + tail_variance(spec4, spec4.T0) \
-        == pytest.approx(total, rel=1e-9)
-    assert spec4.tail_variance == pytest.approx(tail_variance(spec4, spec4.T0), rel=1e-12)
+    assert spec4.tail_variance == limit_cumulant(spec4, 2, spec4.T0)
+    # at d = 4, rate 1 the head int_0^T0 sech is the Gudermannian 2 atan(tanh(T0/2))
+    head = 2.0 * math.atan(math.tanh(0.5 * spec4.T0))
+    assert limit_cumulant(spec4, 2) - spec4.tail_variance == pytest.approx(head, rel=1e-12)
 
 
 def test_tail_third_cumulant_is_negligible(spec4):
     # the Gaussian tail substitution bias, relative to cum_3
-    bias = tail_third_cumulant(spec4)
-    assert bias < 1e-3 * limit_cumulant(spec4, 3)
+    assert limit_cumulant(spec4, 3, spec4.T0) < 1e-3 * limit_cumulant(spec4, 3)
 
 
-@pytest.mark.parametrize("h,T", [(1, 0.5), (1, 3.1), (3, 7.5), (5, 2.0)])
-def test_cosh_power_tails_against_mpmath(h, T):
-    """int_T^inf cosh^{-h} and int_0^T cosh^{-h} against 40-digit mpmath."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        tail = mpmath.quad(lambda s: mpmath.cosh(s) ** -h, [T, mpmath.inf])
-        head = mpmath.quad(lambda s: mpmath.cosh(s) ** -h, [0, T])
-    assert _cosh_power_tail(-h, T) == pytest.approx(float(tail), rel=1e-13)
-    # far out the tail underflows to 0 rather than overflowing cosh
-    assert _cosh_power_tail(-h, 1000.0) == 0.0
-    # truncated_variance is rate * int_0^T cosh^{3-d}
-    spec = limit_law_spec(h + 3, 0.0, multiplier=0.5)
-    assert truncated_variance(spec, T) == pytest.approx(float(head), rel=1e-13)
+@pytest.mark.parametrize("T", [-1.0, math.nan])
+def test_limit_cumulant_refuses_bad_cutoff(spec4, T):
+    with pytest.raises(DomainError, match="cutoff"):
+        limit_cumulant(spec4, 2, T)
 
 
 def test_spec_domain_guards():
