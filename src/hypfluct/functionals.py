@@ -169,12 +169,21 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     Returns (S, S_plus, S_minus) float arrays.  Block b of REPLICATES_PER_STREAM
     replicates draws its Poisson counts, then its uniforms in replicate order,
     from the stream (seed, b), so a value depends only on (config, seed,
-    replicate), not on n.  About max(POINT_BUDGET, one replicate) points are
-    held.
+    replicate), not on n.  The uniforms of max(POINT_BUDGET, one replicate)
+    points go to their volumes kernels.SUB_CHUNK points at a time: those of
+    s >= 0 over the uniforms, those of s < 0 into a second array of that size.
+    So two such arrays are held, plus temporaries of one sub-chunk.
     """
     def sums_of(p, offsets):
-        s = inverse_cdf(config, p)
-        return np.stack(kernels.signed_sums(kernels.section_volumes(s, config), s, offsets))
+        neg = np.empty_like(p)
+        for i in range(0, p.size, kernels.SUB_CHUNK):
+            chunk = slice(i, i + kernels.SUB_CHUNK)
+            s = inverse_cdf(config, p[chunk])
+            vol = kernels.section_volumes(s, config)
+            positive = s >= 0.0
+            p[chunk] = np.where(positive, vol, 0.0)
+            neg[chunk] = np.where(positive, 0.0, vol)
+        return np.stack(kernels.signed_sums(p, neg, offsets))
 
     sums = np.empty((2, n_replicates))
     for start, block_sums in poisson_block_sums(

@@ -47,6 +47,9 @@ from .hyperbolic import (
 
 # Points per block: the arrays of one block stay in cache.
 BLOCK = 8192
+# Points per pass of a sampler from uniforms to the values it sums: 512 KB per
+# array, so one pass takes a whole call of tens of points x 256 replicates
+SUB_CHUNK = 8 * BLOCK
 
 
 def _sinh_power_integral(n, x):
@@ -122,15 +125,13 @@ def _segment_sums(values, offsets):
     return out
 
 
-def signed_sums(vol, s, offsets):
-    """Per-replicate sums of vol, split by sign of s (s >= 0 counts positive).
+def signed_sums(pos, neg, offsets):
+    """Per-replicate sums of the sign-split volumes pos (s >= 0) and neg (s < 0).
 
-    offsets[i] is the start index of replicate i; offsets[-1] == len(vol).
+    Each holds a point's volume on its side of s = 0 and 0 on the other;
+    offsets[i] is the start index of replicate i; offsets[-1] == len(pos).
     """
-    vol = np.asarray(vol, dtype=np.float64)
-    pos_mask = np.asarray(s) >= 0.0
-    return (_segment_sums(np.where(pos_mask, vol, 0.0), offsets),
-            _segment_sums(np.where(pos_mask, 0.0, vol), offsets))
+    return _segment_sums(pos, offsets), _segment_sums(neg, offsets)
 
 
 def zeta_increment_sums(h_vals, offsets):

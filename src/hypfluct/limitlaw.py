@@ -263,19 +263,24 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     Gaussian carrying the small-jump tail variance.  Block b of
     DRAWS_PER_STREAM draws takes its jump counts and its jump uniforms in draw
     order from the stream (seed, b), and its tail normals from that stream's
-    first child; about max(POINT_BUDGET, one draw) jumps are held at once.  A
-    draw depends only on (spec, seed, draw index), not on n.
+    first child.  The jump sizes of max(POINT_BUDGET, one draw) jumps are
+    written over their uniforms, kernels.SUB_CHUNK at a time, so one such
+    array is held, plus temporaries of one sub-chunk.  A draw depends only on
+    (spec, seed, draw index), not on n.
     """
     mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)
     sigma_tail = math.sqrt(spec.tail_variance)
 
     def sums_of(p, offsets):
-        # h = cosh^{-(d-2)}(s) in place: one chunk-sized array besides p
-        h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, p)
-        np.cosh(h, out=h)
-        np.power(h, -(spec.d - 2), out=h)
-        return kernels.zeta_increment_sums(h, offsets)
+        # h = cosh^{-(d-2)}(s); the quantile has read its sub-chunk of p
+        # before h is written over it
+        for i in range(0, p.size, kernels.SUB_CHUNK):
+            chunk = p[i:i + kernels.SUB_CHUNK]
+            h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, chunk)
+            np.cosh(h, out=h)
+            np.power(h, -(spec.d - 2), out=chunk)
+        return kernels.zeta_increment_sums(p, offsets)
 
     out = np.empty(n)
     for start, sums in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),

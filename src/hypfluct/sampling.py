@@ -33,6 +33,8 @@ from .kernels import BLOCK
 # a point stops once the n^2 e^3 error bound of its step e is within 4 n ulps
 # of u: the n-term reduction for K_n rounds about n times
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
+# log of the largest double
+LOG_MAX = math.log(np.finfo(np.float64).max)
 # points poisson_block_sums draws and reduces at once, in whole replicates
 POINT_BUDGET = 1 << 20
 # the largest mean numpy's Poisson sampler accepts
@@ -172,6 +174,14 @@ def _cosh_power_inverse(n: int, t):
     # underflows (n >= 1075) the larger ulp(0) keeps it a bound and a = 0 at 0
     floor = max(math.ldexp(1.0, -n), math.ulp(0.0))
     u = np.minimum(a, LOG2 + np.log(n * a + floor) / n)
+    # for n in the thousands cosh^n of that start can pass double range.  There
+    # n a >= 1, and the start cosh^n u = 2 n a is above the root: log cosh lies
+    # above its tangent at u, so K_n(u) >= cosh^n u (1 - e^{-n u tanh u}) / (n tanh u),
+    # and n u tanh u >= n log cosh u = log(2 n a) >= log 2.  The start rises
+    # with a, so its largest value tells whether any point needs this
+    if n * logcosh(np.max(u, initial=0.0)) > LOG_MAX:
+        beyond = n * logcosh(u) > LOG_MAX
+        u[beyond] = np.arccosh(np.exp((math.log(2 * n) + np.log(a[beyond])) / n))
     # every point takes two steps; the rest go on alone, each stopping at its
     # own first converged step, so a root does not depend on the other points
     _halley_step(n, a, u)
@@ -234,21 +244,27 @@ def _cosh_power_quantile(n: int, a: float, b: float, p):
 
 
 def inverse_cdf(config: ModelConfig, p):
-    """Quantile function of the normalized s-density on [-R, R]."""
+    """Quantile function of the normalized s-density on [-R, R]; p is left as it is."""
     p_arr = np.asarray(p, dtype=np.float64)
+    flat = p_arr.reshape(-1)
     d, R = config.d, config.R
     geom = config.geometry
     if geom.is_horospheric:
-        _unit_extremes(p_arr.reshape(-1))
+        _unit_extremes(flat)
         a = d - 1
         lo, hi = math.exp(-a * R), math.exp(a * R)
-        out = -np.log(hi - p_arr * (hi - lo)) / a
+        # -log(hi - p (hi - lo)) / a, in place on one array
+        out = flat * (hi - lo)
+        np.subtract(hi, out, out=out)
+        np.log(out, out=out)
+        out /= -a
     else:
         # in u = s - Delta the density is cosh^{d-1}(u); the quantile checks p
         delta = geom.delta
-        out = delta + _cosh_power_quantile(d - 1, -R - delta, R - delta, p_arr)
-    out = np.clip(out, -R, R)
-    return float(out) if p_arr.ndim == 0 else out
+        out = _cosh_power_quantile(d - 1, -R - delta, R - delta, flat)
+        out += delta
+    np.clip(out, -R, R, out=out)
+    return float(out[0]) if p_arr.ndim == 0 else out.reshape(p_arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,8 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
     its first m replicates in replicate order; so no value depends on n.
     sums_of(p, offsets) reduces the uniforms p of whole replicates (i-th at
     offsets[i]) to sums along its last axis, max(1, POINT_BUDGET // ceil(mean))
-    replicates per call, so no sum depends on the budget either.
+    replicates per call, so no sum depends on the budget either.  p is the
+    call's own array, and sums_of may overwrite it.
     """
     per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):

@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hypfluct
-from hypfluct import sampling
+from hypfluct import kernels, sampling
 from hypfluct.errors import DomainError
 from hypfluct.hyperbolic import ModelConfig, ball_volume, lambda_geometry
 from hypfluct.sampling import (
@@ -386,9 +387,62 @@ def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
+                                     (6, 0.3, 2.5)])
+def test_simulate_surface_independent_of_sub_chunk(monkeypatch, d, lam, R):
+    """S, S+ and S- are bit-identical whether the uniforms go to their volumes
+    one BLOCK, the default sub-chunk or a whole call at a time."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    runs = []
+    for size in (kernels.BLOCK, kernels.SUB_CHUNK, 4 * sampling.POINT_BUDGET):
+        monkeypatch.setattr(kernels, "SUB_CHUNK", size)
+        runs.append(simulate_surface(config, 300, seed=4))
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, lam, R", [(2, 1.0, 10.0), (4, 0.5, 4.0)])
+def test_simulate_surface_block_rebuilt_by_hand(d, lam, R):
+    """The first block, rebuilt from its stream without the sub-chunk pass:
+    the counts of a whole block and the uniforms of its first n replicates,
+    then inverse_cdf, section_volumes, the split by the sign of s and one
+    reduceat per part over all the points, which span two sub-chunks."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    n, seed = 5, 8
+    S, Sp, Sn = simulate_surface(config, n, seed)
+    rng = make_rng(seed, 0)
+    counts = rng.poisson(mean_count(config), size=REPLICATES_PER_STREAM)[:n]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    assert kernels.SUB_CHUNK < offsets[-1] <= sampling.POINT_BUDGET
+    s = inverse_cdf(config, rng.random(offsets[-1]))
+    vol = kernels.section_volumes(s, config)
+    positive = s >= 0.0
+    pos = np.add.reduceat(np.where(positive, vol, 0.0), offsets[:-1])
+    neg = np.add.reduceat(np.where(positive, 0.0, vol), offsets[:-1])
+    np.testing.assert_array_equal(Sp, pos)
+    np.testing.assert_array_equal(Sn, neg)
+    np.testing.assert_array_equal(S, pos + neg)
+
+
+def test_simulate_surface_call_holds_two_point_arrays():
+    """At d = 2, lambda = 1, R = 10 one call reduces 47 replicates of about
+    22026 points, 8.3 MB per array: the volumes of s >= 0 over the uniforms
+    and those of s < 0 in a second array, with the temporaries of one
+    sub-chunk, stay below 20 MB."""
+    config = ModelConfig(d=2, lam=1.0, R=10.0)
+    tracemalloc.start()
+    try:
+        simulate_surface(config, REPLICATES_PER_STREAM, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_simulate_surface_memory_is_bounded():
     """d = 4, lambda = 0, R = 6 has 5.5e6 points per replicate; a child
-    process simulating 3 replicates peaks below 400 MB.
+    process simulating 3 replicates peaks below 200 MB.
 
     The peak is the child's own VmHWM: on Linux a child's ru_maxrss starts
     from the parent's peak across fork and exec, so it would measure the
@@ -406,4 +460,4 @@ def test_simulate_surface_memory_is_bounded():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
-    assert peak_mb <= 400.0
+    assert peak_mb <= 200.0

@@ -51,12 +51,18 @@ def test_section_volumes_keep_shape_and_empty_input():
     assert empty.shape == (0,)
 
 
+def _split_by_sign(vol, s):
+    """The (pos, neg) arrays signed_sums takes: vol where s >= 0, resp. s < 0, else 0."""
+    positive = s >= 0.0
+    return np.where(positive, vol, 0.0), np.where(positive, 0.0, vol)
+
+
 def test_signed_sums_against_fsum():
     rng = np.random.default_rng(2)
     vol = rng.exponential(size=1000)
     s = rng.uniform(-1.0, 1.0, size=1000)
     offsets = np.array([0, 100, 100, 350, 1000], dtype=np.int64)
-    pos, neg = kernels.signed_sums(vol, s, offsets)
+    pos, neg = kernels.signed_sums(*_split_by_sign(vol, s), offsets)
     for r in range(4):
         seg = slice(offsets[r], offsets[r + 1])
         assert pos[r] == pytest.approx(
@@ -74,7 +80,7 @@ def test_signed_sums_large_batch_with_empty_segments():
     n = int(offsets[-1])
     vol = rng.exponential(size=n) * np.exp(rng.uniform(0.0, 6.0, size=n))
     s = rng.uniform(-1.0, 1.0, size=n)
-    pos, neg = kernels.signed_sums(vol, s, offsets)
+    pos, neg = kernels.signed_sums(*_split_by_sign(vol, s), offsets)
     assert pos.shape == neg.shape == (256,)
     for r in range(256):
         seg = slice(offsets[r], offsets[r + 1])

@@ -2,14 +2,16 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hypfluct.errors import DomainError, QuadratureError
-from hypfluct.hyperbolic import ModelConfig
+from hypfluct.hyperbolic import LOG2, ModelConfig
 from hypfluct.sampling import (
+    LOG_MAX,
     MAGIC,
     ProcessSample,
     _cosh_power_inverse,
@@ -194,6 +196,21 @@ def test_cosh_power_inverse_stop_rule_at_every_n(n):
             ref.append(float(root))
     ref = np.array(ref)
     assert np.all(np.abs(u - ref) <= 4 * n * np.spacing(ref))
+
+
+@pytest.mark.parametrize("n", [2220, 10000])
+def test_cosh_power_inverse_where_the_start_overflows(n):
+    """Where cosh^n of the start log 2 + log(n t)/n passes double range, the
+    start cosh^n u = 2 n t takes over: t from 1e-300 to 1e300 inverts with no
+    warning, and a Newton step from each root is within the stop rule's 4 n ulps."""
+    t = np.geomspace(1e-300, 1e300, 121)
+    old_start = LOG2 + math.log(n * t[-1]) / n
+    assert n * math.log(math.cosh(old_start)) > LOG_MAX     # the new start is reached
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _cosh_power_inverse(n, t)
+        K, dK = _cosh_power_primitive(n, u)
+    assert np.all(np.abs((K - t) / dK) <= 4 * n * np.spacing(u))
 
 
 def test_cosh_power_inverse_raises_at_step_cap():
