@@ -96,6 +96,13 @@ def limit_law_spec(d: int, lam: float = 0.0, multiplier: float = 1.0) -> LimitLa
     if not 0.0 < multiplier < math.inf:
         raise DomainError(f"the limit law requires a multiplier in (0, inf), got {multiplier}")
     rate = 2.0 * multiplier * geom.mu ** (d - 1)
+    # the Halley start of the cutoff has cosh^{d-1} = 2 (d - 1) budget / rate,
+    # which must be a double: at lambda = 0.5 it is not from d = 4829, and
+    # mu^{d-1} underflows to 0 from d = 5182
+    if not (rate > 0.0 and 2.0 * (d - 1) * DEFAULT_POINTS_PER_DRAW / rate < math.inf):
+        raise DomainError(
+            f"the limit law at d = {d}, lambda = {lam}, multiplier = {multiplier} has "
+            f"zeta rate {rate:.3g}: cosh^{d - 1} of its cutoff T0 is beyond double range")
     T0 = float(_cosh_power_inverse(d - 1, DEFAULT_POINTS_PER_DRAW / rate))
     return LimitLawSpec(d=d, lam=lam, rate=rate, T0=T0,
                         scale_constant=scale_constant(d, geom))

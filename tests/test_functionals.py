@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import hypfluct
-from hypfluct import kernels, sampling
-from hypfluct.errors import DomainError
+from hypfluct import functionals, kernels, sampling
+from hypfluct.errors import DomainError, QuadratureError
 from hypfluct.hyperbolic import ModelConfig, ball_volume, lambda_geometry
 from hypfluct.sampling import (
     ProcessSample,
@@ -40,6 +40,7 @@ from hypfluct.functionals import (
 from hypfluct.hyperbolic import (
     intersection_volume,
     intersection_volume_bound,
+    log_intersection_volume,
     scale_constant,
 )
 from hypfluct.limitlaw import (
@@ -185,6 +186,46 @@ def test_cumulant_integral_beyond_kernel_range():
     scaled = cumulant_integral(
         ModelConfig(d=2, lam=0.0, R=400.0, intensity_multiplier=2.5), 2)
     assert scaled == pytest.approx(2.5 * got, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_moment_rule_against_tanh_sinh(d):
+    """The graded Gauss-Legendre rule against scipy's adaptive tanh-sinh at
+    1e-12 relative, over lambda in {0, .5, .9, 1}, R from 1e-3 to 100 and
+    k in {2, 3, 4, 8}; where the log-space reference passes double range the
+    rule gives inf.  tanh-sinh splits at min(delta, R), not at the rule's c."""
+    from scipy.integrate import tanhsinh
+    for lam in (0.0, 0.5, 0.9, 1.0):
+        for R in (1e-3, 0.5, 3.0, 10.0, 20.0, 100.0):
+            config = ModelConfig(d=d, lam=lam, R=R)
+            geom = config.geometry
+            c = 0.0 if geom.is_horospheric else min(geom.delta, R)
+            for k in (2, 3, 4, 8):
+                a, b = np.array([-R, c]), np.array([c, R])
+                ref = tanhsinh(
+                    lambda s: (k * log_intersection_volume(config, s)
+                               + sampling.log_intensity_density(config, s)),
+                    a, b, log=True, rtol=math.log(1e-13))
+                assert np.all(ref.success | (a == b))    # an empty half [R, R] is exact
+                log_ref = float(np.logaddexp.reduce(ref.integral))
+                got = functionals._cumulant_quadrature(config, k)
+                if log_ref > math.log(sys.float_info.max):
+                    assert got == math.inf, (d, lam, R, k)
+                else:
+                    assert got == pytest.approx(math.exp(log_ref), rel=1e-12, abs=0.0), (
+                        d, lam, R, k)
+
+
+def test_moment_rule_reports_the_error_it_reached(monkeypatch):
+    """A jump in the integrand inside a half keeps the 128- and 64-panel rules
+    apart by far more than 1e-12; the error names that finite difference."""
+    config = ModelConfig(d=3, lam=0.5, R=3.0)
+    density = sampling.log_intensity_density
+    monkeypatch.setattr(functionals, "log_intensity_density",
+                        lambda cfg, s: density(cfg, s) + np.where(s > 1.9, 1.0, 0.0))
+    with pytest.raises(QuadratureError) as info:
+        functionals._cumulant_quadrature(config, 2)
+    assert 1e-12 < info.value.achieved < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +481,17 @@ def test_simulate_surface_call_holds_two_point_arrays():
     assert peak < 20e6
 
 
+def _run_in_child(code: str) -> str:
+    """stdout of a fresh interpreter running code, with this hypfluct on its path."""
+    path = [os.path.dirname(os.path.dirname(hypfluct.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_simulate_surface_memory_is_bounded():
     """d = 4, lambda = 0, R = 6 has 5.5e6 points per replicate; a child
     process simulating 3 replicates peaks below 200 MB.
@@ -453,11 +505,14 @@ def test_simulate_surface_memory_is_bounded():
             "simulate_surface(ModelConfig(d=4, lam=0.0, R=6.0), 3, seed=0)\n"
             "with open('/proc/self/status') as f:\n"
             "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n")
-    path = [os.path.dirname(os.path.dirname(hypfluct.__file__)),
-            os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
+    peak_mb = int(_run_in_child(code)) / 1024.0  # VmHWM is in kB
     assert peak_mb <= 200.0
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    """The moment rule needs no scipy.integrate, whose import costs about
+    25 MB of peak RSS and 0.2-0.3 s in every process that imports hypfluct."""
+    code = ("import sys\n"
+            "import hypfluct, hypfluct.cli, hypfluct.functionals\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    assert _run_in_child(code).strip() == "False"

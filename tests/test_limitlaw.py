@@ -143,6 +143,20 @@ def test_spec_where_the_halley_start_overflows(d):
     assert mean == pytest.approx(1000.0, rel=1e-10)
 
 
+def test_spec_refuses_a_cutoff_beyond_double_range():
+    """At lambda = 0.5, d = 4828 is the last d whose Halley start
+    cosh^{d-1} = 2 (d - 1) 1000 / rate is a double; from d = 4829 it is not,
+    and at d = 6000 the rate underflows to 0.  Both raise DomainError naming
+    d, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = limit_law_spec(4828, 0.5)
+        assert math.isfinite(spec.T0) and spec.T0 > 0.0
+        for d in (4829, 6000):
+            with pytest.raises(DomainError, match=f"d = {d},"):
+                limit_law_spec(d, 0.5)
+
+
 @pytest.mark.parametrize("d,ell,T", [(4, 2, 0.5), (4, 2, 3.1), (6, 2, 7.5), (8, 2, 2.0),
                                      (4, 3, 1.0), (5, 4, 2.5)])
 def test_limit_cumulant_beyond_T_against_mpmath(d, ell, T):
