@@ -97,8 +97,6 @@ def _log_graded_sum(config: ModelConfig, k: int, v, log_vw) -> float:
                      + math.log(abs(c - edge)) + log_vw)
     terms = np.concatenate(terms)
     top = float(np.max(terms))
-    if top == -math.inf:    # every section volume rounds to 0, as at d = 2, R = 1e-200
-        return top
     return top + math.log(math.fsum(np.exp(terms - top)))
 
 
@@ -203,11 +201,12 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     from the stream (seed, b), so a value depends only on (config, seed,
     replicate), not on n.  The uniforms of max(POINT_BUDGET, one replicate)
     points go to their volumes kernels.SUB_CHUNK points at a time: those of
-    s >= 0 over the uniforms, those of s < 0 into a second array of that size.
-    So two such arrays are held, plus temporaries of one sub-chunk.
+    s >= 0 over the uniforms, those of s < 0 into the second row of the
+    block's workspace.  So the two rows of one call's points are held, plus
+    temporaries of one sub-chunk, and no call allocates a point array.
     """
-    def sums_of(p, offsets):
-        neg = np.empty_like(p)
+    def sums_of(work, offsets):
+        p, neg = work
         for i in range(0, p.size, kernels.SUB_CHUNK):
             chunk = slice(i, i + kernels.SUB_CHUNK)
             s = inverse_cdf(config, p[chunk])
@@ -218,9 +217,9 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
         return np.stack(kernels.signed_sums(p, neg, offsets))
 
     sums = np.empty((2, n_replicates))
-    for start, block_sums in poisson_block_sums(
+    for start, block_sums, _ in poisson_block_sums(
             _poisson_mean(config), n_replicates, lambda b: make_rng(seed, b),
-            REPLICATES_PER_STREAM, sums_of):
+            REPLICATES_PER_STREAM, 2, sums_of):
         sums[:, start:start + block_sums.shape[1]] = block_sums
     pos, neg = sums
     return pos + neg, pos, neg

@@ -300,7 +300,8 @@ def log_sinh_power_integral(n: int, log_x):
     a float or an array log x; log x = -inf (rho = 0) gives -inf.  The radius
     itself is rho = :func:`arcosh1p_from_log` (log x).
 
-    * n = 0: J_0 = rho.
+    * n = 0: J_0 = rho, and log rho = (log 2 + log x) / 2 below
+      log x = -40, where exp(log x) would underflow.
     * odd n = 2m + 1: the polynomial of :func:`odd_power_coefficients`, whose
       terms are all positive; summed in powers of 1/x when x > 1.
     * even n >= 2, x < SERIES_CUTOFF: the series of
@@ -324,8 +325,11 @@ def log_sinh_power_integral(n: int, log_x):
     """
     log_x = np.asarray(log_x, dtype=np.float64)
     if n == 0:
+        # rho = sqrt(2x) (1 - x/12 + O(x^2)): below log x = -40 the dropped -x/12
+        # in log rho is under 4e-19, and exp(log x) underflows below -745
         with np.errstate(divide="ignore"):    # log 0 = -inf at rho = 0
-            return np.log(arcosh1p_from_log(log_x))[()]
+            return np.where(log_x < -40.0, 0.5 * (LOG2 + log_x),
+                            np.log(arcosh1p_from_log(log_x)))[()]
     m, odd = divmod(n, 2)
     if odd:
         coeffs = odd_power_coefficients(m)

@@ -37,8 +37,9 @@ DEFAULT_POINTS_PER_DRAW = 1000.0
 CF_TRUNCATION_EPS = 1e-10
 # COS interval half-width in units of sqrt(k2 + sqrt(k4))
 COS_HALF_WIDTH = 12.0
-# t-values per block in log_characteristic_function
-CF_BLOCK = 512
+# t-values per block in log_characteristic_function: a 64 x CF_NODES complex
+# matrix is 0.6 MB, so the CF's temporaries stay below the sampler's workspace
+CF_BLOCK = 64
 # Gauss-Legendre rule of the CF on s in [0, s_max]: the integrand decays like
 # t^2 cosh^{3-d}(s), so s_max = min(CF_S_MAX, arcosh e^{CF_S_MAX/(d-3)}) drops a
 # tail below 2 e^{-CF_S_MAX} and keeps cosh^{d-1}(s_max) below e^{120} for every
@@ -181,9 +182,10 @@ def _cf_nodes(d: int):
 def log_characteristic_function(spec: LimitLawSpec, t):
     """log E e^{itZ} = rate * int (e^{ith}-1-ith) cosh^{d-1}, vectorized in t.
 
-    t is taken CF_BLOCK values at a time, so a call of any size holds at most
-    a CF_BLOCK x CF_NODES complex matrix; each value is its own row sum, so it
-    does not depend on the other t.
+    t is taken CF_BLOCK (64) values at a time, so a call of any size holds
+    at most a few CF_BLOCK x CF_NODES complex matrices, 0.6 MB each, besides
+    its result; each value is its own row sum, so it does not depend on the
+    other t.
     """
     h, wd = _cf_nodes(spec.d)
     t_arr = np.ravel(np.asarray(t, dtype=np.float64))
@@ -270,18 +272,21 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     Gaussian carrying the small-jump tail variance.  Block b of
     DRAWS_PER_STREAM draws takes its jump counts and its jump uniforms in draw
     order from the stream (seed, b), and its tail normals from that stream's
-    first child.  The jump sizes of max(POINT_BUDGET, one draw) jumps are
-    written over their uniforms, kernels.SUB_CHUNK at a time, so one such
-    array is held, plus temporaries of one sub-chunk.  A draw depends only on
-    (spec, seed, draw index), not on n.
+    first child, spawned from the same generator once its uniforms are drawn.
+    The jump sizes of max(POINT_BUDGET, one draw) jumps are written over their
+    uniforms in the one row of the block's workspace, kernels.SUB_CHUNK at a
+    time, so one such row is held, plus temporaries of one sub-chunk, and no
+    call allocates a jump array.  A draw depends only on (spec, seed, draw
+    index), not on n.
     """
     mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)
     sigma_tail = math.sqrt(spec.tail_variance)
 
-    def sums_of(p, offsets):
+    def sums_of(work, offsets):
         # h = cosh^{-(d-2)}(s); the quantile has read its sub-chunk of p
         # before h is written over it
+        (p,) = work
         for i in range(0, p.size, kernels.SUB_CHUNK):
             chunk = p[i:i + kernels.SUB_CHUNK]
             h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, chunk)
@@ -290,9 +295,9 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
         return kernels.zeta_increment_sums(p, offsets)
 
     out = np.empty(n)
-    for start, sums in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),
-                                          DRAWS_PER_STREAM, sums_of):
-        tail = make_rng(seed, start // DRAWS_PER_STREAM).spawn(1)[0]
+    for start, sums, rng in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),
+                                               DRAWS_PER_STREAM, 1, sums_of):
+        tail = rng.spawn(1)[0]
         out[start:start + sums.size] = (sums - compensator
                                         + sigma_tail * tail.standard_normal(sums.size))
     return out

@@ -35,8 +35,9 @@ from .kernels import BLOCK
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # log of the largest double
 LOG_MAX = math.log(np.finfo(np.float64).max)
-# points poisson_block_sums draws and reduces at once, in whole replicates
-POINT_BUDGET = 1 << 20
+# points poisson_block_sums draws and reduces at once, in whole replicates:
+# two kernels.SUB_CHUNK passes, 1 MB per workspace row
+POINT_BUDGET = 1 << 17
 # the largest mean numpy's Poisson sampler accepts
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -301,26 +302,34 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> 
                          replicate_index=replicate_index)
 
 
-def poisson_block_sums(mean: float, n: int, rng_of, block: int, sums_of):
-    """Yield (start, sums) per block of replicates of Poisson(mean) points.
+def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, sums_of):
+    """Yield (start, sums, rng) per block of replicates of Poisson(mean) points.
 
     Block b covers replicates [b block, b block + m), m = min(block, n - b block),
-    and draws from rng_of(b) the counts of a whole block, then the uniforms of
-    its first m replicates in replicate order; so no value depends on n.
-    sums_of(p, offsets) reduces the uniforms p of whole replicates (i-th at
-    offsets[i]) to sums along its last axis, max(1, POINT_BUDGET // ceil(mean))
-    replicates per call, so no sum depends on the budget either.  p is the
-    call's own array, and sums_of may overwrite it.
+    and draws from rng = rng_of(b) the counts of a whole block, then the
+    uniforms of its first m replicates in replicate order; so no value depends
+    on n.  sums_of(work, offsets) reduces the uniforms work[0] of whole
+    replicates (i-th at offsets[i]) to sums along its last axis,
+    max(1, POINT_BUDGET // ceil(mean)) replicates per call, so no sum depends
+    on the budget either.  work is a (rows, offsets[-1]) view of one workspace
+    per block, sized from the block's counts to its largest call, so a call
+    allocates no point array; sums_of may overwrite every row.  rng is
+    yielded so that a caller can spawn children of the block's stream without
+    building it again.
     """
     per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
         rng = rng_of(b)
         counts = rng.poisson(mean, size=block)[:n - start]
+        firsts = range(0, counts.size, per_call)
+        workspace = np.empty((rows, int(np.add.reduceat(counts, firsts).max())))
         sums = []
-        for i in range(0, counts.size, per_call):
+        for i in firsts:
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
-            sums.append(sums_of(rng.random(int(offsets[-1])), offsets))
-        yield start, np.concatenate(sums, axis=-1)
+            work = workspace[:, :offsets[-1]]
+            rng.random(out=work[0])
+            sums.append(sums_of(work, offsets))
+        yield start, np.concatenate(sums, axis=-1), rng
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,12 @@ defining integrals (not from this package).
 """
 
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import hypfluct
 from hypfluct import functionals, kernels, sampling
 from hypfluct.errors import DomainError, QuadratureError
 from hypfluct.hyperbolic import ModelConfig, ball_volume, lambda_geometry
@@ -49,6 +46,8 @@ from hypfluct.limitlaw import (
     limit_law_spec,
     sample_limit,
 )
+
+from conftest import _run_in_child
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +466,10 @@ def test_simulate_surface_block_rebuilt_by_hand(d, lam, R):
 
 
 def test_simulate_surface_call_holds_two_point_arrays():
-    """At d = 2, lambda = 1, R = 10 one call reduces 47 replicates of about
-    22026 points, 8.3 MB per array: the volumes of s >= 0 over the uniforms
-    and those of s < 0 in a second array, with the temporaries of one
-    sub-chunk, stay below 20 MB."""
+    """At d = 2, lambda = 1, R = 10 one call reduces 5 replicates of about
+    22026 points, 0.9 MB per workspace row: the volumes of s >= 0 over the
+    uniforms and those of s < 0 in the second row, with the temporaries of
+    one sub-chunk, stay below 6 MB."""
     config = ModelConfig(d=2, lam=1.0, R=10.0)
     tracemalloc.start()
     try:
@@ -478,18 +477,7 @@ def test_simulate_surface_call_holds_two_point_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
-
-
-def _run_in_child(code: str) -> str:
-    """stdout of a fresh interpreter running code, with this hypfluct on its path."""
-    path = [os.path.dirname(os.path.dirname(hypfluct.__file__)),
-            os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert peak < 6e6
 
 
 def test_simulate_surface_memory_is_bounded():
@@ -507,6 +495,28 @@ def test_simulate_surface_memory_is_bounded():
             "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n")
     peak_mb = int(_run_in_child(code)) / 1024.0  # VmHWM is in kB
     assert peak_mb <= 200.0
+
+
+def test_simulate_surface_resident_growth_is_bounded():
+    """d = 3, lambda = 1, R = 6 has about 81000 points per replicate, one
+    replicate per call: a child simulating 256 replicates grows its peak RSS
+    (VmHWM after the call minus VmRSS before it) by less than 8 MB.
+
+    Unlike tracemalloc, this sees what the allocator keeps and what fresh
+    pages cost: per-call arrays above glibc's mmap threshold grew it by
+    17 MB, the per-block workspace by 3 MB.
+    """
+    code = ("from hypfluct.functionals import simulate_surface\n"
+            "from hypfluct.hyperbolic import ModelConfig\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return int(next(line.split()[1] for line in f\n"
+            "                        if line.startswith(key + ':')))\n"
+            "before = status('VmRSS')\n"
+            "simulate_surface(ModelConfig(d=3, lam=1.0, R=6.0), 256, seed=0)\n"
+            "print(status('VmHWM') - before)\n")
+    growth_mb = int(_run_in_child(code)) / 1024.0  # both fields are in kB
+    assert growth_mb < 8.0
 
 
 def test_package_import_leaves_out_scipy_integrate():

@@ -383,6 +383,16 @@ def test_log_intersection_volume_finite_at_huge_radius():
         assert lv > 100.0
 
 
+def test_log_intersection_volume_d2_at_a_radius_whose_x_underflows():
+    """At d = 2 and R = 1e-200, x = cosh rho - 1 is below 1e-400, and the
+    chord 2 rho = 2 sqrt(R^2 - s^2) comes from log x alone, to 1e-14."""
+    R = 1e-200
+    s = np.array([-R / 2, 0.0, R / 2])
+    got = log_intersection_volume(ModelConfig(d=2, lam=0.0, R=R), s)
+    want = LOG2 + math.log(R) + 0.5 * np.log1p(-(s / R) ** 2)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # model config validation
 # ---------------------------------------------------------------------------

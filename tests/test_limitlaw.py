@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from hypfluct import kernels, sampling
+from hypfluct import kernels, limitlaw, sampling
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
@@ -289,6 +289,20 @@ def test_cf_blocks_match_pointwise(spec4):
     np.testing.assert_allclose(blocked, single, rtol=1e-14, atol=0.0)
 
 
+def test_cf_peak_memory_is_bounded():
+    """The 401-point CF of `hypfluct limit` holds a few CF_BLOCK x CF_NODES
+    complex matrices at a time, 0.6 MB each: its peak stays below 4 MB."""
+    spec = limit_law_spec(5, 0.3)
+    t = np.linspace(0.0, 20.0, 401)
+    tracemalloc.start()
+    try:
+        characteristic_function(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_cf_keeps_the_shape_of_t(spec4):
     """A (2, 3) grid of t gives a (2, 3) result equal to per-point values."""
     t = np.linspace(0.0, 5.0, 6).reshape(2, 3)
@@ -416,9 +430,9 @@ def test_sample_limit_independent_of_sub_chunk(monkeypatch, d):
 
 
 def test_sample_limit_holds_one_jump_array():
-    """The jump sizes are written over their uniforms: about 2^20 jumps per
-    call are 8 MB, and that one array with the temporaries of one sub-chunk
-    stays below 12 MB, where the uniforms and a separate jump array did not."""
+    """The jump sizes are written over their uniforms in the block's one-row
+    workspace: about 2^17 jumps per call are 1 MB, and that row with the
+    temporaries of one sub-chunk stays below 4 MB."""
     spec = limit_law_spec(4, 0.0)
     tracemalloc.start()
     try:
@@ -426,7 +440,21 @@ def test_sample_limit_holds_one_jump_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
+
+
+def test_sample_limit_builds_one_stream_per_block(monkeypatch):
+    """Each block's counts, uniforms and tail normals come from one stream:
+    three blocks build three generators."""
+    calls = []
+
+    def counting_make_rng(seed, index=0):
+        calls.append(index)
+        return sampling.make_rng(seed, index)
+
+    monkeypatch.setattr(limitlaw, "make_rng", counting_make_rng)
+    sample_limit(limit_law_spec(4, 0.0), 2 * DRAWS_PER_STREAM + 5, seed=2)
+    assert calls == [0, 1, 2]
 
 
 def test_sample_limit_moments(spec4):
