@@ -199,27 +199,22 @@ def simulate_surface(config: ModelConfig, n_replicates: int, seed: int):
     Returns (S, S_plus, S_minus) float arrays.  Block b of REPLICATES_PER_STREAM
     replicates draws its Poisson counts, then its uniforms in replicate order,
     from the stream (seed, b), so a value depends only on (config, seed,
-    replicate), not on n.  The uniforms of max(POINT_BUDGET, one replicate)
-    points go to their volumes kernels.SUB_CHUNK points at a time: those of
-    s >= 0 over the uniforms, those of s < 0 into the second row of the
-    block's workspace.  So the two rows of one call's points are held, plus
-    temporaries of one sub-chunk, and no call allocates a point array.
+    replicate), not on n.  poisson_block_sums chunks the points; fill writes
+    the volumes of s >= 0 over the uniforms and those of s < 0 into the
+    second row of the block's workspace.
     """
-    def sums_of(work, offsets):
+    def fill(work):
         p, neg = work
-        for i in range(0, p.size, kernels.SUB_CHUNK):
-            chunk = slice(i, i + kernels.SUB_CHUNK)
-            s = inverse_cdf(config, p[chunk])
-            vol = kernels.section_volumes(s, config)
-            positive = s >= 0.0
-            p[chunk] = np.where(positive, vol, 0.0)
-            neg[chunk] = np.where(positive, 0.0, vol)
-        return np.stack(kernels.signed_sums(p, neg, offsets))
+        s = inverse_cdf(config, p)
+        vol = kernels.section_volumes(s, config)
+        positive = s >= 0.0
+        p[:] = np.where(positive, vol, 0.0)
+        neg[:] = np.where(positive, 0.0, vol)
 
     sums = np.empty((2, n_replicates))
     for start, block_sums, _ in poisson_block_sums(
             _poisson_mean(config), n_replicates, lambda b: make_rng(seed, b),
-            REPLICATES_PER_STREAM, 2, sums_of):
+            REPLICATES_PER_STREAM, 2, fill, kernels.signed_sums):
         sums[:, start:start + block_sums.shape[1]] = block_sums
     pos, neg = sums
     return pos + neg, pos, neg

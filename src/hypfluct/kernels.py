@@ -47,9 +47,6 @@ from .hyperbolic import (
 
 # Points per block: the arrays of one block stay in cache.
 BLOCK = 8192
-# Points per pass of a sampler from uniforms to the values it sums: 512 KB per
-# array, so one pass takes a whole call of tens of points x 256 replicates
-SUB_CHUNK = 8 * BLOCK
 
 
 def _sinh_power_integral(n, x):

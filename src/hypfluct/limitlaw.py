@@ -273,30 +273,25 @@ def sample_limit(spec: LimitLawSpec, n: int, seed: int) -> np.ndarray:
     DRAWS_PER_STREAM draws takes its jump counts and its jump uniforms in draw
     order from the stream (seed, b), and its tail normals from that stream's
     first child, spawned from the same generator once its uniforms are drawn.
-    The jump sizes of max(POINT_BUDGET, one draw) jumps are written over their
-    uniforms in the one row of the block's workspace, kernels.SUB_CHUNK at a
-    time, so one such row is held, plus temporaries of one sub-chunk, and no
-    call allocates a jump array.  A draw depends only on (spec, seed, draw
-    index), not on n.
+    poisson_block_sums chunks the jumps, whose sizes fill writes over their
+    uniforms in the one row of the block's workspace.  A draw depends only on
+    (spec, seed, draw index), not on n.
     """
     mean_jumps = zeta_mean_count(spec, spec.T0)
     compensator = spec.rate * math.sinh(spec.T0)
     sigma_tail = math.sqrt(spec.tail_variance)
 
-    def sums_of(work, offsets):
-        # h = cosh^{-(d-2)}(s); the quantile has read its sub-chunk of p
-        # before h is written over it
+    def fill(work):
+        # h = cosh^{-(d-2)}(s); the quantile has read p before h is written over it
         (p,) = work
-        for i in range(0, p.size, kernels.SUB_CHUNK):
-            chunk = p[i:i + kernels.SUB_CHUNK]
-            h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, chunk)
-            np.cosh(h, out=h)
-            np.power(h, -(spec.d - 2), out=chunk)
-        return kernels.zeta_increment_sums(p, offsets)
+        h = _cosh_power_quantile(spec.d - 1, 0.0, spec.T0, p)
+        np.cosh(h, out=h)
+        np.power(h, -(spec.d - 2), out=p)
 
     out = np.empty(n)
     for start, sums, rng in poisson_block_sums(mean_jumps, n, lambda b: make_rng(seed, b),
-                                               DRAWS_PER_STREAM, 1, sums_of):
+                                               DRAWS_PER_STREAM, 1, fill,
+                                               kernels.zeta_increment_sums):
         tail = rng.spawn(1)[0]
         out[start:start + sums.size] = (sums - compensator
                                         + sigma_tail * tail.standard_normal(sums.size))

@@ -35,9 +35,9 @@ from .kernels import BLOCK
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # log of the largest double
 LOG_MAX = math.log(np.finfo(np.float64).max)
-# points poisson_block_sums draws and reduces at once, in whole replicates:
-# two kernels.SUB_CHUNK passes, 1 MB per workspace row
-POINT_BUDGET = 1 << 17
+# points per pass of poisson_block_sums: a call takes whole replicates up to one
+# pass, and its fill sees at most one pass at a time; 512 KB per workspace row
+SUB_CHUNK = 8 * BLOCK
 # the largest mean numpy's Poisson sampler accepts
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -302,22 +302,25 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> 
                          replicate_index=replicate_index)
 
 
-def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, sums_of):
+def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, fill, reduce):
     """Yield (start, sums, rng) per block of replicates of Poisson(mean) points.
 
     Block b covers replicates [b block, b block + m), m = min(block, n - b block),
     and draws from rng = rng_of(b) the counts of a whole block, then the
     uniforms of its first m replicates in replicate order; so no value depends
-    on n.  sums_of(work, offsets) reduces the uniforms work[0] of whole
-    replicates (i-th at offsets[i]) to sums along its last axis,
-    max(1, POINT_BUDGET // ceil(mean)) replicates per call, so no sum depends
-    on the budget either.  work is a (rows, offsets[-1]) view of one workspace
-    per block, sized from the block's counts to its largest call, so a call
-    allocates no point array; sums_of may overwrite every row.  rng is
+    on n.  A call takes max(1, SUB_CHUNK // ceil(mean)) whole replicates, so
+    about one pass of points or one larger replicate, and draws their uniforms
+    into row 0 of work, a (rows, points) view of one workspace per block,
+    sized from the block's counts to its largest call; no call allocates a
+    point array.  fill(window) maps each column window of work, at most
+    SUB_CHUNK wide, in place from the uniforms in its row 0 to the values
+    summed, in any of its rows; then reduce(*work, offsets) sums them per
+    replicate (i-th at offsets[i]).  fill maps each point alone and reduce
+    sums each replicate alone, so no sum depends on SUB_CHUNK either.  rng is
     yielded so that a caller can spawn children of the block's stream without
     building it again.
     """
-    per_call = max(1, POINT_BUDGET // max(1, math.ceil(mean)))
+    per_call = max(1, SUB_CHUNK // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
         rng = rng_of(b)
         counts = rng.poisson(mean, size=block)[:n - start]
@@ -328,7 +331,9 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, sums_
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             work = workspace[:, :offsets[-1]]
             rng.random(out=work[0])
-            sums.append(sums_of(work, offsets))
+            for j in range(0, offsets[-1], SUB_CHUNK):
+                fill(work[:, j:j + SUB_CHUNK])
+            sums.append(reduce(*work, offsets))
         yield start, np.concatenate(sums, axis=-1), rng
 
 

@@ -193,6 +193,16 @@ def test_crofton_command_csv(tmp_path):
         assert abs(float(line.split(",")[-1])) < 5.0
 
 
+def test_cumulants_command_at_large_even_d(tmp_path):
+    """At d = 40, R = 0.7 the section volumes have x = cosh rho - 1 just above
+    0.25 at even d - 2; the moment rule converges and the command exits 0."""
+    out = tmp_path / "k.csv"
+    assert cli.main(["cumulants", "--d", "40", "--lambda", "0", "--R", "0.7",
+                     "--out", str(out)]) == 0
+    values = [float(line.split(",")[-1]) for line in out.read_text().splitlines()[1:]]
+    assert len(values) == 4 and all(0.0 < v < math.inf for v in values)
+
+
 def test_cumulants_command_csv(tmp_path):
     out = tmp_path / "k.csv"
     code = cli.main(["cumulants", "--d", "2", "--lambda", "0", "--R", "3",

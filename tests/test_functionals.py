@@ -166,6 +166,30 @@ def test_cumulant_integral_small_radius_vanishes():
     assert variance(config) < 1e-10
 
 
+@pytest.mark.parametrize("R", [1.45e-315, 5e-324])
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_cumulant_integral_at_subnormal_radius(d, lam, R):
+    """A subnormal R is a valid radius: (R - |s|)/2 rounds to 0 at some node
+    inside (-R, R), yet the moments are 0.0 and a section inside has a
+    finite log volume, with no error or warning."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    assert variance(config) == 0.0
+    assert cumulant_integral(config, 3) == 0.0
+    lv = log_intersection_volume(config, np.array([0.0, -R, R]))
+    assert np.isfinite(lv[0]) and np.all(lv[1:] == -math.inf)
+
+
+@pytest.mark.parametrize("d, lam, R, k", [(30, 0.0, 0.7, 8), (40, 0.0, 0.7, 2),
+                                          (60, 0.5, 0.8, 4), (100, 0.9, 1.5, 8)])
+def test_cumulant_integral_at_large_even_d(d, lam, R, k):
+    """Section volumes with x = cosh rho - 1 just above 0.25 at even d - 2:
+    the log path's even-n reduction starts where it is stable, so the 128-
+    and 64-panel rules agree and no QuadratureError is raised."""
+    value = cumulant_integral(ModelConfig(d=d, lam=lam, R=R), k)
+    assert 0.0 < value < math.inf
+
+
 def test_cumulant_integral_beyond_kernel_range():
     """At R of several hundred, where linear-space volumes or the intensity
     would overflow, the log-space rule gives the plain value: inf beyond
@@ -414,28 +438,15 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
 
 @pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
                                      (6, 0.3, 2.5)])
-def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
-    """S, S+ and S- are bit-identical whether the points are reduced one
-    replicate at a time, 4096 at a time or at the default budget."""
-    config = ModelConfig(d=d, lam=lam, R=R)
-    runs = []
-    for budget in (1, 4096, sampling.POINT_BUDGET):
-        monkeypatch.setattr(sampling, "POINT_BUDGET", budget)
-        runs.append(simulate_surface(config, 300, seed=4))
-    for run in runs[1:]:
-        for a, b in zip(run, runs[0]):
-            np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
-                                     (6, 0.3, 2.5)])
 def test_simulate_surface_independent_of_sub_chunk(monkeypatch, d, lam, R):
-    """S, S+ and S- are bit-identical whether the uniforms go to their volumes
-    one BLOCK, the default sub-chunk or a whole call at a time."""
+    """S, S+ and S- are bit-identical at pass sizes of 1024 points, one BLOCK,
+    the default and 8 times the default.  1024 takes one replicate per call
+    at every d >= 3 here, and several passes per replicate of about 6700
+    points at (6, 0.3, 2.5)."""
     config = ModelConfig(d=d, lam=lam, R=R)
     runs = []
-    for size in (kernels.BLOCK, kernels.SUB_CHUNK, 4 * sampling.POINT_BUDGET):
-        monkeypatch.setattr(kernels, "SUB_CHUNK", size)
+    for size in (1024, kernels.BLOCK, sampling.SUB_CHUNK, 8 * sampling.SUB_CHUNK):
+        monkeypatch.setattr(sampling, "SUB_CHUNK", size)
         runs.append(simulate_surface(config, 300, seed=4))
     for run in runs[1:]:
         for a, b in zip(run, runs[0]):
@@ -444,17 +455,17 @@ def test_simulate_surface_independent_of_sub_chunk(monkeypatch, d, lam, R):
 
 @pytest.mark.parametrize("d, lam, R", [(2, 1.0, 10.0), (4, 0.5, 4.0)])
 def test_simulate_surface_block_rebuilt_by_hand(d, lam, R):
-    """The first block, rebuilt from its stream without the sub-chunk pass:
-    the counts of a whole block and the uniforms of its first n replicates,
-    then inverse_cdf, section_volumes, the split by the sign of s and one
-    reduceat per part over all the points, which span two sub-chunks."""
+    """The first block, rebuilt from its stream without the passes: the
+    counts of a whole block and the uniforms of its first n replicates, then
+    inverse_cdf, section_volumes, the split by the sign of s and one reduceat
+    per part over all the points, which span more than one pass."""
     config = ModelConfig(d=d, lam=lam, R=R)
     n, seed = 5, 8
     S, Sp, Sn = simulate_surface(config, n, seed)
     rng = make_rng(seed, 0)
     counts = rng.poisson(mean_count(config), size=REPLICATES_PER_STREAM)[:n]
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    assert kernels.SUB_CHUNK < offsets[-1] <= sampling.POINT_BUDGET
+    assert sampling.SUB_CHUNK < offsets[-1]
     s = inverse_cdf(config, rng.random(offsets[-1]))
     vol = kernels.section_volumes(s, config)
     positive = s >= 0.0
@@ -466,10 +477,11 @@ def test_simulate_surface_block_rebuilt_by_hand(d, lam, R):
 
 
 def test_simulate_surface_call_holds_two_point_arrays():
-    """At d = 2, lambda = 1, R = 10 one call reduces 5 replicates of about
-    22026 points, 0.9 MB per workspace row: the volumes of s >= 0 over the
-    uniforms and those of s < 0 in the second row, with the temporaries of
-    one sub-chunk, stay below 6 MB."""
+    """At d = 2, lambda = 1, R = 10 one call reduces 2 replicates of about
+    22026 points, within one pass of 2^16 points and 0.35 MB per workspace
+    row: the volumes of s >= 0 over the uniforms and those of s < 0 in the
+    second row, with the temporaries of that pass, stay below 2.5 MB (they
+    reached 3.4 MB at 2^17 points per call)."""
     config = ModelConfig(d=2, lam=1.0, R=10.0)
     tracemalloc.start()
     try:
@@ -477,7 +489,7 @@ def test_simulate_surface_call_holds_two_point_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 2.5e6
 
 
 def test_simulate_surface_memory_is_bounded():

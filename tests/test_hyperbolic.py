@@ -129,7 +129,7 @@ def test_log_ball_volume_finite_at_huge_radius():
             assert ball_volume(d, 700.0) == math.inf
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", [*range(8), 20, 28, 38, 58])
 def test_log_sinh_power_integral_against_mpmath(n):
     """J_n = int_0^rho sinh^n to 1e-13 against 50-digit mpmath.
 
@@ -137,12 +137,15 @@ def test_log_sinh_power_integral_against_mpmath(n):
     J_n = sinh^{n+1} rho / (n+1) 2F1(1/2, (n+1)/2; (n+3)/2; -sinh^2 rho),
     which has no cancellation and shares nothing with the series, the
     polynomial or the reduction formula of the code.  The radii cover the
-    old n = 2, rho < 0.1 branch and both sides of the even-n series cut-off
-    at rho = arcosh(1.25) = log 2.  All radii go in one array call, which
-    mixes the series with the reduction and small x with huge x.
+    old n = 2, rho < 0.1 branch, the kernels' cut-over x = 0.25 at
+    rho = log 2, and x from 0.255 to 0.433 around the log path's cut-over
+    x = sqrt(2) - 1 (rho = 0.8814), where a reduction started below it loses
+    digits at large even n.  All radii go in one array call, which mixes the
+    series with the reduction and small x with huge x.
     """
     mpmath = pytest.importorskip("mpmath")
-    radii = np.array([1e-6, 1e-3, 0.05, 0.5, 0.69, 0.7, 3.0, 30.0, 700.0])
+    radii = np.array([1e-6, 1e-3, 0.05, 0.5, 0.69, 0.7, 0.75, 0.8, 0.85, 0.88, 0.9,
+                      3.0, 30.0, 700.0])
     got = log_sinh_power_integral(n, LOG2 + 2.0 * logsinh(0.5 * radii))
     assert got.shape == radii.shape
     with mpmath.workdps(50):

@@ -386,17 +386,6 @@ def test_sample_limit_deterministic(spec4):
     assert not np.array_equal(a, sample_limit(spec4, 500, seed=2))
 
 
-def test_sample_limit_chunking_invariant(spec4, monkeypatch):
-    """Draws are bit-identical whether the jumps are reduced one draw at a
-    time, 4096 at a time or at the default point budget."""
-    runs = []
-    for budget in (1, 4096, sampling.POINT_BUDGET):
-        monkeypatch.setattr(sampling, "POINT_BUDGET", budget)
-        runs.append(sample_limit(spec4, 500, seed=3))
-    for run in runs[1:]:
-        np.testing.assert_array_equal(run, runs[0])
-
-
 @pytest.mark.parametrize("d, lam", [(4, 0.0), (5, 0.3)])
 def test_sample_limit_block_rebuilt_by_hand(d, lam):
     """The partial second block, rebuilt from its streams: the counts of a
@@ -416,23 +405,29 @@ def test_sample_limit_block_rebuilt_by_hand(d, lam):
     np.testing.assert_array_equal(draws, expected)
 
 
-@pytest.mark.parametrize("d", [4, 5])
-def test_sample_limit_independent_of_sub_chunk(monkeypatch, d):
-    """Draws are bit-identical whether the jumps are formed one BLOCK, the
-    default sub-chunk or a whole call at a time."""
-    spec = limit_law_spec(d, 0.3)
+@pytest.mark.parametrize("d, lam, multiplier, n, seed", [
+    pytest.param(4, 0.3, 1.0, 1500, 6, id="4"),
+    pytest.param(5, 0.3, 1.0, 1500, 6, id="5"),
+    pytest.param(4, 0.0, 0.5, 500, 3, id="spec4"),
+])
+def test_sample_limit_independent_of_sub_chunk(monkeypatch, d, lam, multiplier, n, seed):
+    """Draws are bit-identical at pass sizes of 1024 jumps, one BLOCK, the
+    default and 8 times the default; 1024 takes one draw of about 1000 jumps
+    per call."""
+    spec = limit_law_spec(d, lam, multiplier)
     runs = []
-    for size in (kernels.BLOCK, kernels.SUB_CHUNK, 4 * sampling.POINT_BUDGET):
-        monkeypatch.setattr(kernels, "SUB_CHUNK", size)
-        runs.append(sample_limit(spec, 1500, seed=6))
+    for size in (1024, kernels.BLOCK, sampling.SUB_CHUNK, 8 * sampling.SUB_CHUNK):
+        monkeypatch.setattr(sampling, "SUB_CHUNK", size)
+        runs.append(sample_limit(spec, n, seed=seed))
     for run in runs[1:]:
         np.testing.assert_array_equal(run, runs[0])
 
 
 def test_sample_limit_holds_one_jump_array():
     """The jump sizes are written over their uniforms in the block's one-row
-    workspace: about 2^17 jumps per call are 1 MB, and that row with the
-    temporaries of one sub-chunk stays below 4 MB."""
+    workspace: 65 draws of about 1000 jumps per call fill one pass of 2^16
+    points, 0.52 MB, and that row with the temporaries of the pass stays
+    below 1.8 MB (it reached 2.4 MB at 2^17 points per call)."""
     spec = limit_law_spec(4, 0.0)
     tracemalloc.start()
     try:
@@ -440,7 +435,7 @@ def test_sample_limit_holds_one_jump_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 1.8e6
 
 
 def test_sample_limit_builds_one_stream_per_block(monkeypatch):

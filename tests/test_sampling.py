@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypfluct import kernels
 from hypfluct.errors import DomainError, QuadratureError
 from hypfluct.hyperbolic import LOG2, ModelConfig
 from hypfluct.sampling import (
     LOG_MAX,
     MAGIC,
     ProcessSample,
+    SUB_CHUNK,
     _cosh_power_inverse,
     _cosh_power_primitive,
     _cosh_power_quantile,
@@ -23,6 +25,7 @@ from hypfluct.sampling import (
     intensity_density,
     make_rng,
     mean_count,
+    poisson_block_sums,
     read_sample_dump,
     sample_process,
     write_sample_dump,
@@ -334,6 +337,35 @@ def test_make_rng_reproducible():
 # ---------------------------------------------------------------------------
 # binary dump
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mean", [0.5, 20.0, 3000.0, 70000.0])
+def test_poisson_block_sums_contract(mean):
+    """fill sees the uniforms in windows at most one pass wide, and the
+    reducer, kernels.zeta_increment_sums, sees whole replicates per call, at
+    most one pass of points unless the call holds one larger replicate.  With
+    a fill that writes 1.0, the sums are the block's Poisson counts."""
+    n, block, seed = 100, 64, 5
+    calls = []
+
+    def fill(window):
+        assert window.shape[0] == 1 and window.shape[1] <= SUB_CHUNK
+        assert np.all((window >= 0.0) & (window < 1.0))
+        window[:] = 1.0
+
+    def reduce(values, offsets):
+        assert values.size == offsets[-1]
+        calls.append(offsets)
+        return kernels.zeta_increment_sums(values, offsets)
+
+    for start, sums, _ in poisson_block_sums(mean, n, lambda b: make_rng(seed, b),
+                                             block, 1, fill, reduce):
+        counts = make_rng(seed, start // block).poisson(mean, size=block)[:n - start]
+        np.testing.assert_array_equal(sums, counts)
+        # the calls' segments are the block's replicates, in order
+        np.testing.assert_array_equal(np.concatenate([np.diff(o) for o in calls]), counts)
+        assert all(o[-1] <= SUB_CHUNK or o.size == 2 for o in calls)
+        calls.clear()
+
 
 def test_sample_dump_roundtrip(tmp_path):
     config = ModelConfig(d=3, lam=0.5, R=3.0)
