@@ -438,6 +438,32 @@ def test_simulate_surface_d6_matches_per_replicate_sums():
 
 @pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
                                      (6, 0.3, 2.5)])
+def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
+    """S, S+ and S- are bit-identical whether the points are reduced one
+    replicate at a time, 4096 at a time or at the default pass size: the
+    pass size ceil(mean) makes every call hold exactly one replicate."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    per_call = []
+
+    def signed_sums(pos, neg, offsets):
+        per_call.append(offsets.size - 1)
+        return reduce(pos, neg, offsets)
+
+    reduce = kernels.signed_sums
+    monkeypatch.setattr(kernels, "signed_sums", signed_sums)
+    runs = []
+    for budget in (math.ceil(mean_count(config)), 4096, sampling.SUB_CHUNK):
+        monkeypatch.setattr(sampling, "SUB_CHUNK", budget)
+        runs.append(simulate_surface(config, 300, seed=4))
+        if len(runs) == 1:
+            assert set(per_call) == {1}
+    for run in runs[1:]:
+        for a, b in zip(run, runs[0]):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
+                                     (6, 0.3, 2.5)])
 def test_simulate_surface_independent_of_sub_chunk(monkeypatch, d, lam, R):
     """S, S+ and S- are bit-identical at pass sizes of 1024 points, one BLOCK,
     the default and 8 times the default.  1024 takes one replicate per call
