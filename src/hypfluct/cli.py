@@ -238,7 +238,7 @@ def run(cfg: ExperimentConfig) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

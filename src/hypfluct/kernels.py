@@ -1,9 +1,10 @@
 """Hot numeric kernels: batch section volumes and per-replicate sums.
 
-Pure numpy, in blocks of BLOCK points.  The section volume of a ModelConfig
-(d, lambda, R; mu and delta from its geometry) is omega_{d-1} mu^{1-d} J_{d-2}
-with J_n = int_0^rho sinh^n, evaluated for every n in
-x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
+Pure numpy, elementwise over arrays of any size; the samplers' windows of
+points come from ``sampling.poisson_block_sums``.  The section volume of a
+ModelConfig (d, lambda, R; mu and delta from its geometry) is
+omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
+n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
 
 * odd n: a polynomial in x with positive coefficients, exact up to rounding;
 * n = 0: rho = log1p(x + sqrt(x) sqrt(x + 2)), which does not overflow;
@@ -45,10 +46,6 @@ from .hyperbolic import (
     odd_power_coefficients,
 )
 
-# Points per block: the arrays of one block stay in cache.
-BLOCK = 8192
-
-
 def _sinh_power_integral(n, x):
     """J_n = int_0^rho sinh^n for an array of x = cosh rho - 1 >= 0."""
     m, odd = divmod(n, 2)
@@ -57,7 +54,7 @@ def _sinh_power_integral(n, x):
     if n == 0:
         # sqrt(x) sqrt(x + 2), unlike sqrt(x (x + 2)), does not form x^2
         return np.log1p(x + np.sqrt(x) * np.sqrt(x + 2.0))
-    # the reduction formula and the series both on the whole block; the series
+    # the reduction formula and the series both on every point; the series
     # replaces the reduction below the cut-off, where the latter cancels
     sh = np.sqrt(x * (x + 2.0))
     out = np.log1p(x + sh)
@@ -75,13 +72,16 @@ def _sinh_power_integral(n, x):
     return out
 
 
-def _section_volumes_block(s, config):
+def section_volumes(s, config: ModelConfig):
+    """Closed-form (d-1)-volumes of the sections H(s) cap B_R^d of a model, any d >= 2."""
+    s = np.asarray(s, dtype=np.float64)
+    flat = s.reshape(-1)
     d = config.d
     geom = config.geometry
     kappa_dm1 = ball_kappa(d - 1)
     # (cosh R - cosh s) / 2 = sinh^2(R/2) - sinh^2(s/2) loses ~eps (cosh R - 1)
     # / (cosh R - cosh s) relative, only near |s| = R where the volume is negligible
-    half_s = 0.5 * s
+    half_s = 0.5 * flat
     half_gap = np.sinh(half_s)
     half_gap *= half_gap
     np.subtract(math.sinh(0.5 * config.R) ** 2, half_gap, out=half_gap)
@@ -91,22 +91,14 @@ def _section_volumes_block(s, config):
         # = kappa_{d-1} (2 e^{s/2} sqrt(half_gap))^{d-1}, which never forms e^{2R}
         root = np.sqrt(half_gap, out=half_gap)
         root *= np.exp(half_s, out=half_s)
-        return (kappa_dm1 * 2.0 ** (d - 1)) * root ** (d - 1)
-    # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta)
-    x = np.divide(half_gap, np.cosh(s - geom.delta), out=half_gap)
-    x *= 2.0 * geom.mu
-    # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
-    return ((d - 1) * kappa_dm1 / geom.mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
-
-
-def section_volumes(s, config: ModelConfig):
-    """Closed-form (d-1)-volumes of the sections H(s) cap B_R^d of a model, any d >= 2."""
-    s = np.asarray(s, dtype=np.float64)
-    flat = s.reshape(-1)
-    out = np.empty(flat.size)
-    for i in range(0, flat.size, BLOCK):
-        out[i:i + BLOCK] = _section_volumes_block(flat[i:i + BLOCK], config)
-    return out.reshape(s.shape)
+        vols = (kappa_dm1 * 2.0 ** (d - 1)) * root ** (d - 1)
+    else:
+        # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta)
+        x = np.divide(half_gap, np.cosh(flat - geom.delta), out=half_gap)
+        x *= 2.0 * geom.mu
+        # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
+        vols = ((d - 1) * kappa_dm1 / geom.mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
+    return vols.reshape(s.shape)
 
 
 def _segment_sums(values, offsets):

@@ -28,16 +28,17 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .hyperbolic import LOG2, ModelConfig, logcosh
-from .kernels import BLOCK
 
 # a point stops once the n^2 e^3 error bound of its step e is within 4 n ulps
 # of u: the n-term reduction for K_n rounds about n times
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # log of the largest double
 LOG_MAX = math.log(np.finfo(np.float64).max)
-# points per pass of poisson_block_sums: a call takes whole replicates up to one
-# pass, and its fill sees at most one pass at a time; 512 KB per workspace row
-SUB_CHUNK = 8 * BLOCK
+# points per fill window of poisson_block_sums: the arrays of one window stay in cache
+BLOCK = 8192
+# points per call of poisson_block_sums: a call takes whole replicates up to
+# SUB_CHUNK, which bounds the workspace rows to 512 KB each
+SUB_CHUNK = 2 ** 16
 # the largest mean numpy's Poisson sampler accepts
 POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -224,17 +225,15 @@ def _unit_extremes(p):
 def _cosh_power_quantile(n: int, a: float, b: float, p):
     """Quantile at p of the density cosh^n on [a, b]; exactly a at 0, b at 1.
 
-    Checks p as _unit_extremes does, then inverts BLOCK points at a time,
-    into one output array.
+    Checks p as _unit_extremes does, then inverts every point in one pass;
+    each quantile depends only on its own p.
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.reshape(-1)
     ends = _unit_extremes(flat)
     lo, _ = _cosh_power_primitive(n, a)
     hi, _ = _cosh_power_primitive(n, b)
-    u = np.empty(flat.size)
-    for i in range(0, flat.size, BLOCK):
-        u[i:i + BLOCK] = _cosh_power_inverse(n, lo + flat[i:i + BLOCK] * (hi - lo))
+    u = _cosh_power_inverse(n, lo + flat * (hi - lo))
     np.maximum(u, a, out=u)
     np.minimum(u, b, out=u)
     # a uniform draw is 0 with chance 2^-53, so the masks are rarely built
@@ -309,16 +308,16 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, fill,
     and draws from rng = rng_of(b) the counts of a whole block, then the
     uniforms of its first m replicates in replicate order; so no value depends
     on n.  A call takes max(1, SUB_CHUNK // ceil(mean)) whole replicates, so
-    about one pass of points or one larger replicate, and draws their uniforms
+    about SUB_CHUNK points or one larger replicate, and draws their uniforms
     into row 0 of work, a (rows, points) view of one workspace per block,
     sized from the block's counts to its largest call; no call allocates a
-    point array.  fill(window) maps each column window of work, at most
-    SUB_CHUNK wide, in place from the uniforms in its row 0 to the values
+    point array.  fill(window) maps each column window of work, BLOCK wide
+    but for the last, in place from the uniforms in its row 0 to the values
     summed, in any of its rows; then reduce(*work, offsets) sums them per
-    replicate (i-th at offsets[i]).  fill maps each point alone and reduce
-    sums each replicate alone, so no sum depends on SUB_CHUNK either.  rng is
-    yielded so that a caller can spawn children of the block's stream without
-    building it again.
+    replicate (i-th at offsets[i]).  This is the one loop over point windows:
+    fill maps each point alone and reduce sums each replicate alone, so no
+    sum depends on SUB_CHUNK or BLOCK either.  rng is yielded so that a
+    caller can spawn children of the block's stream without building it again.
     """
     per_call = max(1, SUB_CHUNK // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
@@ -331,8 +330,8 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, fill,
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             work = workspace[:, :offsets[-1]]
             rng.random(out=work[0])
-            for j in range(0, offsets[-1], SUB_CHUNK):
-                fill(work[:, j:j + SUB_CHUNK])
+            for j in range(0, offsets[-1], BLOCK):
+                fill(work[:, j:j + BLOCK])
             sums.append(reduce(*work, offsets))
         yield start, np.concatenate(sums, axis=-1), rng
 

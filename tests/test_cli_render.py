@@ -149,6 +149,20 @@ def test_mean_count_beyond_poisson_limit_exits_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err and not (tmp_path / "crofton.csv").exists()
 
 
+def test_unallocatable_point_array_exits_1(tmp_path, monkeypatch, capsys):
+    """A replicate of 3.6e14 (variance) or 2.1e14 (sample) points needs a
+    point array of 5.11 or 1.53 PiB, above the 2^47-byte address space, so
+    numpy's allocation fails at once: a one-line error, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["variance", "--d", "4", "--lambda", "0", "--R", "12", "--n", "2"],
+                 ["sample", "--d", "2", "--lambda", "0", "--R", "33"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "PiB" in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_too_few_replicates_is_a_usage_error(tmp_path, monkeypatch, capsys):
     """A replicate count the command cannot use is refused before any work."""
     monkeypatch.chdir(tmp_path)

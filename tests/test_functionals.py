@@ -47,7 +47,7 @@ from hypfluct.limitlaw import (
     sample_limit,
 )
 
-from conftest import _run_in_child
+from conftest import SUB_CHUNK_AND_BLOCK, _run_in_child
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +465,15 @@ def test_simulate_surface_independent_of_point_budget(monkeypatch, d, lam, R):
 @pytest.mark.parametrize("d, lam, R", [(2, 0.5, 4.0), (3, 1.0, 4.0), (4, 0.5, 3.0),
                                      (6, 0.3, 2.5)])
 def test_simulate_surface_independent_of_sub_chunk(monkeypatch, d, lam, R):
-    """S, S+ and S- are bit-identical at pass sizes of 1024 points, one BLOCK,
-    the default and 8 times the default.  1024 takes one replicate per call
-    at every d >= 3 here, and several passes per replicate of about 6700
-    points at (6, 0.3, 2.5)."""
+    """S, S+ and S- are bit-identical over the (call, window) sizes of
+    SUB_CHUNK_AND_BLOCK.  1024-point calls take one replicate each at every
+    d >= 3 here, cut into several 1000-point windows at (6, 0.3, 2.5), whose
+    replicates hold about 6700 points."""
     config = ModelConfig(d=d, lam=lam, R=R)
     runs = []
-    for size in (1024, kernels.BLOCK, sampling.SUB_CHUNK, 8 * sampling.SUB_CHUNK):
-        monkeypatch.setattr(sampling, "SUB_CHUNK", size)
+    for sub_chunk, block in SUB_CHUNK_AND_BLOCK:
+        monkeypatch.setattr(sampling, "SUB_CHUNK", sub_chunk)
+        monkeypatch.setattr(sampling, "BLOCK", block)
         runs.append(simulate_surface(config, 300, seed=4))
     for run in runs[1:]:
         for a, b in zip(run, runs[0]):
@@ -504,10 +505,10 @@ def test_simulate_surface_block_rebuilt_by_hand(d, lam, R):
 
 def test_simulate_surface_call_holds_two_point_arrays():
     """At d = 2, lambda = 1, R = 10 one call reduces 2 replicates of about
-    22026 points, within one pass of 2^16 points and 0.35 MB per workspace
+    22026 points, within a call of 2^16 points and 0.35 MB per workspace
     row: the volumes of s >= 0 over the uniforms and those of s < 0 in the
-    second row, with the temporaries of that pass, stay below 2.5 MB (they
-    reached 3.4 MB at 2^17 points per call)."""
+    second row, with the temporaries of one 8192-point window, stay below
+    1.5 MB (they reached 1.9 MB with 2^16-point windows)."""
     config = ModelConfig(d=2, lam=1.0, R=10.0)
     tracemalloc.start()
     try:
@@ -515,7 +516,7 @@ def test_simulate_surface_call_holds_two_point_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < 1.5e6
 
 
 def test_simulate_surface_memory_is_bounded():

@@ -26,6 +26,8 @@ from hypfluct.limitlaw import (
 )
 from hypfluct.stats import ks_distance
 
+from conftest import SUB_CHUNK_AND_BLOCK
+
 
 @pytest.fixture(scope="module")
 def spec4():
@@ -411,13 +413,14 @@ def test_sample_limit_block_rebuilt_by_hand(d, lam):
     pytest.param(4, 0.0, 0.5, 500, 3, id="spec4"),
 ])
 def test_sample_limit_independent_of_sub_chunk(monkeypatch, d, lam, multiplier, n, seed):
-    """Draws are bit-identical at pass sizes of 1024 jumps, one BLOCK, the
-    default and 8 times the default; 1024 takes one draw of about 1000 jumps
-    per call."""
+    """Draws are bit-identical over the (call, window) sizes of
+    SUB_CHUNK_AND_BLOCK; a 1024-jump call takes one draw of about 1000 jumps,
+    which 1000-point windows often split in two."""
     spec = limit_law_spec(d, lam, multiplier)
     runs = []
-    for size in (1024, kernels.BLOCK, sampling.SUB_CHUNK, 8 * sampling.SUB_CHUNK):
-        monkeypatch.setattr(sampling, "SUB_CHUNK", size)
+    for sub_chunk, block in SUB_CHUNK_AND_BLOCK:
+        monkeypatch.setattr(sampling, "SUB_CHUNK", sub_chunk)
+        monkeypatch.setattr(sampling, "BLOCK", block)
         runs.append(sample_limit(spec, n, seed=seed))
     for run in runs[1:]:
         np.testing.assert_array_equal(run, runs[0])
@@ -425,9 +428,9 @@ def test_sample_limit_independent_of_sub_chunk(monkeypatch, d, lam, multiplier, 
 
 def test_sample_limit_holds_one_jump_array():
     """The jump sizes are written over their uniforms in the block's one-row
-    workspace: 65 draws of about 1000 jumps per call fill one pass of 2^16
-    points, 0.52 MB, and that row with the temporaries of the pass stays
-    below 1.8 MB (it reached 2.4 MB at 2^17 points per call)."""
+    workspace: 65 draws of about 1000 jumps per call fill one call of 2^16
+    points, 0.52 MB, and that row with the temporaries of one 8192-point
+    window stays below 1.1 MB (it reached 1.3 MB with 2^16-point windows)."""
     spec = limit_law_spec(4, 0.0)
     tracemalloc.start()
     try:
@@ -435,7 +438,7 @@ def test_sample_limit_holds_one_jump_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.8e6
+    assert peak < 1.1e6
 
 
 def test_sample_limit_builds_one_stream_per_block(monkeypatch):

@@ -12,6 +12,7 @@ from hypfluct import kernels
 from hypfluct.errors import DomainError, QuadratureError
 from hypfluct.hyperbolic import LOG2, ModelConfig
 from hypfluct.sampling import (
+    BLOCK,
     LOG_MAX,
     MAGIC,
     ProcessSample,
@@ -340,15 +341,15 @@ def test_make_rng_reproducible():
 
 @pytest.mark.parametrize("mean", [0.5, 20.0, 3000.0, 70000.0])
 def test_poisson_block_sums_contract(mean):
-    """fill sees the uniforms in windows at most one pass wide, and the
-    reducer, kernels.zeta_increment_sums, sees whole replicates per call, at
-    most one pass of points unless the call holds one larger replicate.  With
-    a fill that writes 1.0, the sums are the block's Poisson counts."""
+    """fill sees the uniforms in windows at most BLOCK wide, and the reducer,
+    kernels.zeta_increment_sums, sees whole replicates per call, at most
+    SUB_CHUNK points unless the call holds one larger replicate.  With a fill
+    that writes 1.0, the sums are the block's Poisson counts."""
     n, block, seed = 100, 64, 5
     calls = []
 
     def fill(window):
-        assert window.shape[0] == 1 and window.shape[1] <= SUB_CHUNK
+        assert window.shape[0] == 1 and window.shape[1] <= BLOCK
         assert np.all((window >= 0.0) & (window < 1.0))
         window[:] = 1.0
 
