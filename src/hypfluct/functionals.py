@@ -25,7 +25,7 @@ from .hyperbolic import (
 )
 from .limitlaw import limit_cumulant, limit_law_spec
 from .sampling import (_poisson_mean, inverse_cdf, log_intensity_density, make_rng,
-                       poisson_block_sums)
+                       point_windows, poisson_block_sums)
 
 MAX_CUMULANT_ORDER = 8
 REPLICATES_PER_STREAM = 256
@@ -51,7 +51,9 @@ def total_surface_area(sample) -> SurfaceResult:
     s = np.asarray(sample.s, dtype=np.float64)
     if s.size == 0:
         return SurfaceResult(0.0, 0.0)
-    vols = kernels.section_volumes(s, sample.config)
+    vols = np.empty_like(s)
+    for w in point_windows(s.size):
+        vols[w] = kernels.section_volumes(s[w], sample.config)
     pos = math.fsum(vols[s >= 0.0])
     neg = math.fsum(vols[s < 0.0])
     return SurfaceResult(positive_part=pos, negative_part=neg)

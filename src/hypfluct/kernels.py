@@ -1,10 +1,9 @@
 """Hot numeric kernels: batch section volumes and per-replicate sums.
 
-Pure numpy, elementwise over arrays of any size; the samplers' windows of
-points come from ``sampling.poisson_block_sums``.  The section volume of a
-ModelConfig (d, lambda, R; mu and delta from its geometry) is
-omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n, evaluated for every
-n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
+Pure numpy, elementwise; callers map windows from ``sampling.point_windows``.
+The section volume of a ModelConfig (d, lambda, R; mu and delta from its
+geometry) is omega_{d-1} mu^{1-d} J_{d-2} with J_n = int_0^rho sinh^n,
+evaluated for every n in x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta):
 
 * odd n: a polynomial in x with positive coefficients, exact up to rounding;
 * n = 0: rho = log1p(x + sqrt(x) sqrt(x + 2)), which does not overflow;
@@ -45,6 +44,7 @@ from .hyperbolic import (
     horner,
     odd_power_coefficients,
 )
+
 
 def _sinh_power_integral(n, x):
     """J_n = int_0^rho sinh^n for an array of x = cosh rho - 1 >= 0."""
@@ -91,13 +91,12 @@ def section_volumes(s, config: ModelConfig):
         # = kappa_{d-1} (2 e^{s/2} sqrt(half_gap))^{d-1}, which never forms e^{2R}
         root = np.sqrt(half_gap, out=half_gap)
         root *= np.exp(half_s, out=half_s)
-        vols = (kappa_dm1 * 2.0 ** (d - 1)) * root ** (d - 1)
-    else:
-        # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta)
-        x = np.divide(half_gap, np.cosh(flat - geom.delta), out=half_gap)
-        x *= 2.0 * geom.mu
-        # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
-        vols = ((d - 1) * kappa_dm1 / geom.mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
+        return ((kappa_dm1 * 2.0 ** (d - 1)) * root ** (d - 1)).reshape(s.shape)
+    # x = cosh rho - 1 = mu (cosh R - cosh s) / cosh(s - delta)
+    x = np.divide(half_gap, np.cosh(flat - geom.delta), out=half_gap)
+    x *= 2.0 * geom.mu
+    # omega_{d-1} mu^{1-d} J_{d-2}, with omega_{d-1} = (d-1) kappa_{d-1}
+    vols = ((d - 1) * kappa_dm1 / geom.mu ** (d - 1)) * _sinh_power_integral(d - 2, x)
     return vols.reshape(s.shape)
 
 

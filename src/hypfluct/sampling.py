@@ -34,7 +34,7 @@ from .hyperbolic import LOG2, ModelConfig, logcosh
 HALLEY_TOL_PER_N = 4.0 * np.finfo(np.float64).eps
 # log of the largest double
 LOG_MAX = math.log(np.finfo(np.float64).max)
-# points per fill window of poisson_block_sums: the arrays of one window stay in cache
+# points per window of point_windows: the arrays of one window stay in cache
 BLOCK = 8192
 # points per call of poisson_block_sums: a call takes whole replicates up to
 # SUB_CHUNK, which bounds the workspace rows to 512 KB each
@@ -47,6 +47,11 @@ DUMP_VERSION = 2
 # header fields after MAGIC and the uint16 version: d, lam, R, [multiplier,]
 # seed, [replicate_index,] n; version 1 lacks the bracketed ones
 _DUMP_HEADERS = {1: struct.Struct("<HddQQ"), 2: struct.Struct("<HdddQQQ")}
+
+
+def point_windows(size: int):
+    """Slices of BLOCK points (the last shorter) that tile range(size); the one cut of points."""
+    return (slice(j, j + BLOCK) for j in range(0, size, BLOCK))
 
 
 def make_rng(seed: int, replicate_index: int = 0) -> np.random.Generator:
@@ -293,7 +298,9 @@ def sample_process(config: ModelConfig, seed: int, replicate_index: int = 0) -> 
     """Draw one Poisson realization of the process restricted to [-R, R]."""
     rng = make_rng(seed, replicate_index)
     n = int(rng.poisson(_poisson_mean(config)))
-    s = inverse_cdf(config, rng.random(n))
+    s = rng.random(n)
+    for w in point_windows(n):
+        s[w] = inverse_cdf(config, s[w])
     g = rng.standard_normal((n, config.d))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     u = g / np.where(norms == 0.0, 1.0, norms)
@@ -311,13 +318,13 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, fill,
     about SUB_CHUNK points or one larger replicate, and draws their uniforms
     into row 0 of work, a (rows, points) view of one workspace per block,
     sized from the block's counts to its largest call; no call allocates a
-    point array.  fill(window) maps each column window of work, BLOCK wide
-    but for the last, in place from the uniforms in its row 0 to the values
+    point array.  fill(window) maps each column window of work from
+    point_windows in place, from the uniforms in its row 0 to the values
     summed, in any of its rows; then reduce(*work, offsets) sums them per
-    replicate (i-th at offsets[i]).  This is the one loop over point windows:
-    fill maps each point alone and reduce sums each replicate alone, so no
-    sum depends on SUB_CHUNK or BLOCK either.  rng is yielded so that a
-    caller can spawn children of the block's stream without building it again.
+    replicate (i-th at offsets[i]).  fill maps each point alone and reduce
+    sums each replicate alone, so no sum depends on SUB_CHUNK or BLOCK
+    either.  rng is yielded so that a caller can spawn children of the
+    block's stream without building it again.
     """
     per_call = max(1, SUB_CHUNK // max(1, math.ceil(mean)))
     for b, start in enumerate(range(0, n, block)):
@@ -330,8 +337,8 @@ def poisson_block_sums(mean: float, n: int, rng_of, block: int, rows: int, fill,
             offsets = np.concatenate(([0], np.cumsum(counts[i:i + per_call])))
             work = workspace[:, :offsets[-1]]
             rng.random(out=work[0])
-            for j in range(0, offsets[-1], BLOCK):
-                fill(work[:, j:j + BLOCK])
+            for w in point_windows(offsets[-1]):
+                fill(work[:, w])
             sums.append(reduce(*work, offsets))
         yield start, np.concatenate(sums, axis=-1), rng
 

@@ -85,6 +85,36 @@ def test_total_surface_area_d2_beyond_square_range():
     assert result.negative_part == 0.0
 
 
+def test_total_surface_area_holds_one_volume_array():
+    """d = 4, lambda = 0, R = 5 has about 2.7e5 points: summing one replicate
+    takes it window by window, so the traced peak is the volume array, a
+    sign mask and one part's copy, 13 bytes a point, under two doubles a
+    point (one pass over the whole replicate reached 72 bytes a point)."""
+    sample = sample_process(ModelConfig(d=4, lam=0.0, R=5.0), seed=0)
+    tracemalloc.start()
+    try:
+        total_surface_area(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(sample)
+
+
+@pytest.mark.parametrize("d, lam, R", [(3, 0.5, 5.0), (5, 0.3, 3.0), (2, 1.0, 9.0)])
+def test_sample_process_and_total_independent_of_block(monkeypatch, d, lam, R):
+    """s and the sign-split total of one replicate (7000-8000 points here)
+    are bit-identical for windows of 1000 points, the default and 2^16."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    runs = []
+    for block in (sampling.BLOCK, 1000, 2 ** 16):
+        monkeypatch.setattr(sampling, "BLOCK", block)
+        sample = sample_process(config, seed=5)
+        runs.append((sample.s, total_surface_area(sample)))
+    for s, result in runs[1:]:
+        np.testing.assert_array_equal(s, runs[0][0])
+        assert result == runs[0][1]
+
+
 # ---------------------------------------------------------------------------
 # moment integrals
 # ---------------------------------------------------------------------------
