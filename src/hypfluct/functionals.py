@@ -18,6 +18,7 @@ from .hyperbolic import (
     ModelConfig,
     ball_volume,
     exp_or_inf,
+    gauss_legendre,
     lambda_geometry,
     log_intersection_volume,
     logcosh,
@@ -78,7 +79,7 @@ QUADRATURE_RTOL = 1e-12
 
 
 def _graded_unit_rule(panels: int):
-    x, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    x, w = gauss_legendre(GAUSS_ORDER)
     v = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
     # a panel of width 1/panels has the weights w / (2 panels)
     return v, np.log(v * np.tile(w / panels, panels))

@@ -24,7 +24,7 @@ from scipy.special import betainc, gammaln
 
 from . import kernels
 from .errors import DomainError, QuadratureError
-from .hyperbolic import horner, lambda_geometry, logcosh, scale_constant
+from .hyperbolic import gauss_legendre, horner, lambda_geometry, logcosh, scale_constant
 from .sampling import (
     _cosh_power_inverse,
     _cosh_power_primitive,
@@ -37,16 +37,18 @@ DEFAULT_POINTS_PER_DRAW = 1000.0
 CF_TRUNCATION_EPS = 1e-10
 # COS interval half-width in units of sqrt(k2 + sqrt(k4))
 COS_HALF_WIDTH = 12.0
-# t-values per block in log_characteristic_function: a 64 x CF_NODES complex
-# matrix is 0.6 MB, so the CF's temporaries stay below the sampler's workspace
-CF_BLOCK = 64
+# rows per block of the CF's t-values and of the COS series' x-values: a
+# 16 x CF_NODES complex matrix is 154 kB and a 16 x n_t sine matrix 60 kB at
+# n_t = 467 (d = 8, lambda = 0.5), so the temporaries of either sum stay below
+# 1 MB at any grid size
+CF_BLOCK = 16
 # Gauss-Legendre rule of the CF on s in [0, s_max]: the integrand decays like
 # t^2 cosh^{3-d}(s), so s_max = min(CF_S_MAX, arcosh e^{CF_S_MAX/(d-3)}) drops a
 # tail below 2 e^{-CF_S_MAX} and keeps cosh^{d-1}(s_max) below e^{120} for every
 # d (a fixed s_max = 40 overflows at d >= 20).  Against 110-digit mpmath the CF
-# is off by 7.5e-14 at (d, t) = (4, 1), 2.0e-14 at (5, 2) and 1.7e-14 at
-# (20, 1); 2000 nodes are off by 4.5e-13 at (4, 1), so more nodes only add
-# rounding
+# is off by 6.4e-16 at (d, t) = (4, 1), 2.1e-16 at (5, 2), 2.3e-16 at (20, 1)
+# and 2.3e-16 at (40, 1); 2000 nodes are off by 2.5e-16 at (4, 1), so more
+# nodes gain nothing
 CF_NODES = 600
 CF_S_MAX = 40.0
 MONOTONE_TOL = 1e-6
@@ -169,8 +171,12 @@ def _compensated_cis(z):
 
 @lru_cache(maxsize=16)
 def _cf_nodes(d: int):
-    """Gauss-Legendre nodes/weights and precomputed h, cosh^{d-1} factors."""
-    x, w = np.polynomial.legendre.leggauss(CF_NODES)
+    """Jump sizes h and weights times cosh^{d-1} on the CF rule for d.
+
+    The CF_NODES-point rule on [-1, 1] is built once, on the first call, and
+    shared by every d; each d only rescales it to [0, s_max].
+    """
+    x, w = gauss_legendre(CF_NODES)
     half = 0.5 * min(CF_S_MAX, math.acosh(math.exp(CF_S_MAX / (d - 3))))
     s = half * (x + 1.0)
     w = half * w
@@ -182,8 +188,8 @@ def _cf_nodes(d: int):
 def log_characteristic_function(spec: LimitLawSpec, t):
     """log E e^{itZ} = rate * int (e^{ith}-1-ith) cosh^{d-1}, vectorized in t.
 
-    t is taken CF_BLOCK (64) values at a time, so a call of any size holds
-    at most a few CF_BLOCK x CF_NODES complex matrices, 0.6 MB each, besides
+    t is taken CF_BLOCK (16) values at a time, so a call of any size holds
+    at most a few CF_BLOCK x CF_NODES complex matrices, 154 kB each, besides
     its result; each value is its own row sum, so it does not depend on the
     other t.
     """
@@ -223,10 +229,13 @@ def cdf_via_inversion(spec: LimitLawSpec, x_grid, n_t: int | None = None):
 
         F(x) = (x - a)/(b - a) + sum_{k>=1} F_k sin(u_k (x - a)) / u_k
 
-    on [a, b], F = 0 below a and F = 1 above b.  n_t is the number of CF
-    points u_0..u_{N-1} (psi(u_0) = 1); by default N = ceil(t* (b - a)/pi) + 1,
-    so that the last term reaches the truncation point t*, the first power
-    of 2 with |psi(t*)| < CF_TRUNCATION_EPS.
+    on [a, b], F = 0 below a and F = 1 above b, so x = -inf and inf give 0
+    and 1; a NaN in x_grid is a DomainError.  n_t, an integer, is the number
+    of CF points u_0..u_{N-1} (psi(u_0) = 1); by default
+    N = ceil(t* (b - a)/pi) + 1, so that the last term reaches the truncation
+    point t*, the first power of 2 with |psi(t*)| < CF_TRUNCATION_EPS.  The
+    sine series is summed CF_BLOCK values of x at a time, so its temporaries
+    are CF_BLOCK x N whatever the size of x_grid.
 
     Error budget: the probability mass outside [a, b], which lies at least
     COS_HALF_WIDTH standard deviations from the mean, plus the dropped
@@ -235,22 +244,28 @@ def cdf_via_inversion(spec: LimitLawSpec, x_grid, n_t: int | None = None):
     corrected to be monotone (the correction must stay below MONOTONE_TOL).
     """
     x = np.asarray(x_grid, dtype=np.float64)
-    if x.ndim != 1 or np.any(np.diff(x) < 0.0):
-        raise DomainError("x_grid must be a sorted 1-d array")
+    if x.ndim != 1 or np.any(np.isnan(x)) or np.any(x[1:] < x[:-1]):
+        raise DomainError("x_grid must be a sorted 1-d array without NaN")
     b = COS_HALF_WIDTH * math.sqrt(
         limit_cumulant(spec, 2) + math.sqrt(limit_cumulant(spec, 4)))
     a, width = -b, 2.0 * b
     if n_t is None:
         n_t = math.ceil(_cf_truncation_point(spec) * width / math.pi) + 1
-    elif n_t < 1:
-        raise DomainError("n_t must be at least 1")
+    elif not (isinstance(n_t, numbers.Integral) and n_t >= 1):
+        raise DomainError(f"n_t must be an integer >= 1, got {n_t!r}")
     u = np.arange(1, n_t) * (math.pi / width)
     coef = (2.0 / width) * (characteristic_function(spec, u)
                             * np.exp(-1j * u * a)).real / u
     inside = (x > a) & (x < b)
     y = x[inside] - a
+    series = np.empty_like(y)
+    for i in range(0, y.size, CF_BLOCK):
+        terms = np.outer(y[i:i + CF_BLOCK], u)
+        np.sin(terms, out=terms)
+        terms *= coef
+        series[i:i + CF_BLOCK] = terms.sum(axis=1)
     F = (x >= b).astype(np.float64)
-    F[inside] = y / width + np.sin(np.outer(y, u)) @ coef
+    F[inside] = y / width + series
     F = np.clip(F, 0.0, 1.0)
     F_mono = np.maximum.accumulate(F)
     correction = float(np.max(F_mono - F)) if F.size else 0.0

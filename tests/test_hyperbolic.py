@@ -18,6 +18,7 @@ from hypfluct.hyperbolic import (
     arcosh1p_from_log,
     ball_kappa,
     ball_volume,
+    gauss_legendre,
     intersection_volume,
     intersection_volume_bound,
     lambda_geometry,
@@ -67,6 +68,40 @@ def test_arcosh_edge_cases():
     assert arcosh1p_from_log(-math.inf) == 0.0
     # huge argument branch: arcosh(1 + x) ~ log(2x)
     assert arcosh1p_from_log(500.0) == pytest.approx(500.0 + math.log(2.0))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 600])
+def test_gauss_legendre_is_symmetric_and_exact(n):
+    """Ascending, exactly symmetric, and sum w x^k = 2/(k + 1) to 1e-13 for
+    every even k < 2n (odd moments vanish by symmetry)."""
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    k = np.arange(0, 2 * n, 2)
+    moments = np.array([np.sum(w * x ** j) for j in k])
+    np.testing.assert_allclose(moments, 2.0 / (k + 1.0), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 600])
+def test_gauss_legendre_nodes_match_leggauss(n):
+    """numpy's eigen-solve rule is the oracle for the nodes (tests only)."""
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-13)
+
+
+def test_gauss_legendre_is_shared_and_read_only():
+    x, w = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from hypfluct import kernels, limitlaw, sampling
+from hypfluct import hyperbolic, kernels, limitlaw, sampling
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
+    CF_NODES,
     COS_HALF_WIDTH,
     DRAWS_PER_STREAM,
     _compensated_cis,
@@ -26,7 +27,7 @@ from hypfluct.limitlaw import (
 )
 from hypfluct.stats import ks_distance
 
-from conftest import SUB_CHUNK_AND_BLOCK
+from conftest import SUB_CHUNK_AND_BLOCK, _run_in_child
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +259,8 @@ def test_compensated_cis_against_mpmath():
 
 @pytest.mark.parametrize("d, t", [(4, 1.0), (5, 2.0), (20, 1.0), (40, 1.0)])
 def test_cf_against_mpmath(d, t):
-    """The CF quadrature rule against 110-digit mpmath.
+    """The CF quadrature rule against 110-digit mpmath, to 1e-14: it is off by
+    at most 6.4e-16 (numpy's leggauss nodes left 7.5e-14 at (4, 1)).
 
     e^{ix} - 1 - ix cancels down to x ~ 1e-35 at s = 40, so the oracle needs
     about 100 digits; at 30 it is itself off by ~1e-10.
@@ -271,7 +273,7 @@ def test_cf_against_mpmath(d, t):
             return (mpmath.expj(x) - 1 - 1j * x) * mpmath.cosh(s) ** (d - 1)
         log_psi = spec.rate * mpmath.quad(integrand, [0, 1, 3, 10, 40, mpmath.inf])
         psi = complex(mpmath.exp(log_psi))
-    assert abs(characteristic_function(spec, t) - psi) <= 1e-12
+    assert abs(characteristic_function(spec, t) - psi) <= 1e-14
 
 
 def test_cf_semigroup_in_rate():
@@ -303,6 +305,23 @@ def test_cf_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_cf_nodes_call_no_linear_algebra(monkeypatch):
+    """The CF rule is built by Newton on the Legendre recurrence, with no
+    eigen-solve: every numpy.linalg routine raises while it is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        routine = getattr(np.linalg, name)
+        if callable(routine) and not isinstance(routine, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    hyperbolic.gauss_legendre.cache_clear()
+    limitlaw._cf_nodes.cache_clear()
+    h, wd = limitlaw._cf_nodes(4)
+    assert h.shape == wd.shape == (CF_NODES,)
+    assert np.all(np.isfinite(wd)) and np.all(wd > 0.0)
 
 
 def test_cf_keeps_the_shape_of_t(spec4):
@@ -350,6 +369,29 @@ def test_cdf_inversion_rejects_unsorted(spec4):
         cdf_via_inversion(spec4, np.array([0.0, 1.0]), n_t=0)
 
 
+@pytest.mark.parametrize("x", [[math.nan], [-1.0, math.nan, 1.0], [0.0, 1.0, math.nan]])
+def test_cdf_inversion_rejects_nan(spec4, x):
+    """A lone NaN gave F = 0 and a NaN inside a grid a non-monotone
+    QuadratureError; both are domain errors."""
+    with pytest.raises(DomainError, match="NaN"):
+        cdf_via_inversion(spec4, np.array(x))
+
+
+@pytest.mark.parametrize("n_t", [2.5, 256.0, "256"])
+def test_cdf_inversion_rejects_a_non_integer_term_count(spec4, n_t):
+    with pytest.raises(DomainError, match="integer"):
+        cdf_via_inversion(spec4, np.array([0.0, 1.0]), n_t=n_t)
+
+
+def test_cdf_inversion_at_infinities(spec4):
+    F = cdf_via_inversion(spec4, np.array([-math.inf, 0.0, math.inf]))
+    assert F[0] == 0.0 and F[2] == 1.0 and 0.0 < F[1] < 1.0
+    np.testing.assert_array_equal(cdf_via_inversion(spec4, np.array([math.inf, math.inf])),
+                                  [1.0, 1.0])
+    assert cdf_via_inversion(spec4, np.array([-math.inf]))[0] == 0.0
+    assert cdf_via_inversion(spec4, np.array([0.0]), n_t=np.int64(256))[0] == F[1]
+
+
 @pytest.mark.parametrize("d, lam", [(4, 0.0), (5, 0.3), (6, 0.0), (8, 0.5)])
 def test_cdf_moments_match_closed_form_cumulants(d, lam):
     """Mean 0 and variance k2 from F alone; F is 0 and 1 far outside [a, b].
@@ -369,6 +411,51 @@ def test_cdf_moments_match_closed_form_cumulants(d, lam):
     assert abs(var - k2) <= 1e-8 * k2
     far = cdf_via_inversion(spec, np.array([-3.0 * b, -2.0 * b, 2.0 * b, 3.0 * b]))
     np.testing.assert_array_equal(far, [0.0, 0.0, 1.0, 1.0])
+
+
+def test_cdf_peak_memory_is_bounded():
+    """The 20001-point grid of the cumulant test at (8, 0.5), with 467 CF
+    points: the sine series is summed CF_BLOCK rows at a time, so the call
+    peaks near 0.9 MB in tracemalloc.  One 20001 x 467 sine matrix and its
+    matrix product peaked at 150 MB."""
+    spec = limit_law_spec(8, 0.5)
+    b = COS_HALF_WIDTH * math.sqrt(limit_cumulant(spec, 2) + math.sqrt(limit_cumulant(spec, 4)))
+    x = np.linspace(-b, b, 20001)
+    limitlaw._cf_nodes(spec.d)
+    tracemalloc.start()
+    try:
+        cdf_via_inversion(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_cli_grids_resident_growth_is_bounded():
+    """The CDF (801 points) and CF (401 points) grids of `hypfluct limit` at
+    (4, 0) and (5, 0.3): a child computing both grows its peak RSS (VmHWM
+    after minus VmRSS before) by 1.0 MB; leggauss's eigen-solve and the
+    whole sine matrix grew it by 7.0 MB.  The CF rule is not built at import."""
+    code = ("import math\n"
+            "import numpy as np\n"
+            "import hypfluct.cli\n"
+            "from hypfluct import hyperbolic, limitlaw\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return int(next(line.split()[1] for line in f\n"
+            "                        if line.startswith(key + ':')))\n"
+            "specs = [limitlaw.limit_law_spec(d, lam) for d, lam in ((4, 0.0), (5, 0.3))]\n"
+            "print(limitlaw._cf_nodes.cache_info().currsize,\n"
+            "      hyperbolic.gauss_legendre.cache_info().currsize)\n"
+            "before = status('VmRSS')\n"
+            "for spec in specs:\n"
+            "    sd = math.sqrt(limitlaw.limit_cumulant(spec, 2))\n"
+            "    limitlaw.cdf_via_inversion(spec, np.linspace(-10.0 * sd, 14.0 * sd, 801))\n"
+            "    limitlaw.characteristic_function(spec, np.linspace(0.0, 20.0, 401))\n"
+            "print(status('VmHWM') - before)\n")
+    cf_rules, gauss_rules, growth_kb = map(int, _run_in_child(code).split())
+    assert cf_rules == 0 and gauss_rules == 1  # the moment rule's 16 points only
+    assert growth_kb / 1024.0 < 3.0  # both fields are in kB
 
 
 def test_cdf_explicit_term_count_agrees_with_default(spec4):
