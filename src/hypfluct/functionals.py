@@ -8,6 +8,7 @@ of the total surface area.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,13 @@ from .hyperbolic import (
     ModelConfig,
     ball_volume,
     exp_or_inf,
-    gauss_legendre,
+    graded_rule,
     lambda_geometry,
     log_intersection_volume,
     logcosh,
     scale_constant,
 )
-from .limitlaw import limit_cumulant, limit_law_spec
+from .limitlaw import limit_cumulant, limit_law_spec, log_moment
 from .sampling import (_poisson_mean, inverse_cdf, log_intensity_density, make_rng,
                        point_windows, poisson_block_sums)
 
@@ -69,57 +70,31 @@ def expected_surface_area(config: ModelConfig) -> float:
 # moment integrals I_k(R)
 # ---------------------------------------------------------------------------
 
-# I_k(R) is a sum over fixed nodes: composite GAUSS_ORDER-point Gauss-Legendre
-# on QUADRATURE_PANELS equal panels of v in [0, 1], and on half as many panels
-# for the error estimate.  _UNIT_RULES holds the nodes v and log(2 v w) of both
-# rules, w their weights on [0, 1]
-GAUSS_ORDER = 16
 QUADRATURE_PANELS = 128
 QUADRATURE_RTOL = 1e-12
-
-
-def _graded_unit_rule(panels: int):
-    x, w = gauss_legendre(GAUSS_ORDER)
-    v = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
-    # a panel of width 1/panels has the weights w / (2 panels)
-    return v, np.log(v * np.tile(w / panels, panels))
-
-
-_UNIT_RULES = tuple(_graded_unit_rule(p) for p in (QUADRATURE_PANELS, QUADRATURE_PANELS // 2))
-
-
-def _log_graded_sum(config: ModelConfig, k: int, v, log_vw) -> float:
-    """log of one graded rule for I_k on [-R, c] and [c, R]."""
-    geom = config.geometry
-    R = config.R
-    c = 0.0 if geom.is_horospheric or geom.delta >= R else geom.delta
-    terms = []
-    for edge in (-R, R):
-        s = edge + (c - edge) * v * v
-        terms.append(k * log_intersection_volume(config, s) + log_intensity_density(config, s)
-                     + math.log(abs(c - edge)) + log_vw)
-    terms = np.concatenate(terms)
-    top = float(np.max(terms))
-    return top + math.log(math.fsum(np.exp(terms - top)))
 
 
 def _cumulant_quadrature(config: ModelConfig, k: int) -> float:
     """I_k(R) = int vol(s)^k Lambda(ds) by one fixed graded Gauss-Legendre rule.
 
-    The summand is k log vol + log Lambda + log weight, over the log-space
-    path of :mod:`hypfluct.hyperbolic`.  The range splits at c = delta for
-    lambda < 1 and delta < R, else at c = 0.  Each half [edge, c] maps to
-    s = edge + (c - edge) v^2, weight 2 |c - edge| v dv, which grades the nodes
-    towards the algebraic edge vol ~ (R - |s|)^{(d-1)/2}; v in [0, 1] takes
-    composite 16-point Gauss-Legendre on 128 equal panels.  The terms are
-    summed by math.fsum after a max shift.  Error budget: the same rule on 64
-    panels must agree within 1e-12 relative, or QuadratureError is raised.
-    The rule is within 2e-13 relative of tanh-sinh for d in {2, 3, 4, 6, 8},
-    lambda in {0, .5, .9, 1}, R from 1e-3 to 100 and k in {2, 3, 4, 8}, and
-    within 1.2e-13 of the closed forms for I_1 and I_2.  Nothing overflows at
-    any R, and a value beyond double range comes back as inf.
+    The range splits at c = delta for lambda < 1 and delta < R, else at c = 0.
+    Each half [edge, c] takes hyperbolic.graded_rule on 128 panels, graded
+    towards the algebraic edge vol ~ (R - |s|)^{(d-1)/2}, and limitlaw.log_moment
+    sums vol^k against Lambda there, all in log space.  Error budget: the same
+    rule on 64 panels must agree within 1e-12 relative, or QuadratureError is
+    raised.  The rule is within 2e-13 relative of tanh-sinh for d in
+    {2, 3, 4, 6, 8}, lambda in {0, .5, .9, 1}, R from 1e-3 to 100 and k in
+    {2, 3, 4, 8}, and within 1.2e-13 of the closed forms for I_1 and I_2.
+    Nothing overflows at any R, and a value beyond double range comes back as inf.
     """
-    log_total, log_coarse = (_log_graded_sum(config, k, v, log_vw) for v, log_vw in _UNIT_RULES)
+    geom, R = config.geometry, config.R
+    c = 0.0 if geom.is_horospheric or geom.delta >= R else geom.delta
+    log_sums = []
+    for panels in (QUADRATURE_PANELS, QUADRATURE_PANELS // 2):
+        s, log_w = map(np.concatenate, zip(graded_rule(-R, c, panels), graded_rule(R, c, panels)))
+        log_sums.append(log_moment(log_intersection_volume(config, s),
+                                   log_intensity_density(config, s) + log_w, k))
+    log_total, log_coarse = log_sums
     total = exp_or_inf(log_total)
     if 0.0 < total < math.inf:
         achieved = abs(math.expm1(log_coarse - log_total))
@@ -132,8 +107,8 @@ def _cumulant_quadrature(config: ModelConfig, k: int) -> float:
 
 def cumulant_integral(config: ModelConfig, k: int) -> float:
     """k-th moment integral of section volumes (the k-th cumulant of S_R)."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
     if k > MAX_CUMULANT_ORDER:
         raise DomainError(f"k capped at {MAX_CUMULANT_ORDER}")
     if k == 1:

@@ -355,6 +355,19 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
+def graded_rule(edge: float, c: float, panels: int):
+    """Nodes s and log weights on [edge, c] (c < edge too), graded towards edge.
+
+    s = edge + (c - edge) v^2, weight 2 |c - edge| v dv, with composite 16-point
+    Gauss-Legendre on `panels` equal panels of v in [0, 1].
+    """
+    x, w = gauss_legendre(16)
+    v = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    # a panel of width 1/panels has the weights w / (2 panels)
+    log_w = np.log(v * np.tile(w / panels, panels)) + math.log(abs(c - edge))
+    return edge + (c - edge) * v * v, log_w
+
+
 def log_sinh_power_integral(n: int, log_x):
     """log of J_n = int_0^rho sinh^n(u) du given log x, x = cosh rho - 1.
 

@@ -24,7 +24,7 @@ from scipy.special import betainc, gammaln
 
 from . import kernels
 from .errors import DomainError, QuadratureError
-from .hyperbolic import gauss_legendre, horner, lambda_geometry, logcosh, scale_constant
+from .hyperbolic import graded_rule, horner, lambda_geometry, logcosh, scale_constant
 from .sampling import (
     _cosh_power_inverse,
     _cosh_power_primitive,
@@ -38,18 +38,18 @@ CF_TRUNCATION_EPS = 1e-10
 # COS interval half-width in units of sqrt(k2 + sqrt(k4))
 COS_HALF_WIDTH = 12.0
 # rows per block of the CF's t-values and of the COS series' x-values: a
-# 16 x CF_NODES complex matrix is 154 kB and a 16 x n_t sine matrix 60 kB at
+# 16 x 16 CF_PANELS complex matrix is 156 kB and a 16 x n_t sine matrix 60 kB at
 # n_t = 467 (d = 8, lambda = 0.5), so the temporaries of either sum stay below
 # 1 MB at any grid size
 CF_BLOCK = 16
-# Gauss-Legendre rule of the CF on s in [0, s_max]: the integrand decays like
+# the CF's rule: hyperbolic.graded_rule on [0, s_max], CF_PANELS panels graded
+# towards s = 0, where the phase t h(s) turns fastest.  The integrand decays like
 # t^2 cosh^{3-d}(s), so s_max = min(CF_S_MAX, arcosh e^{CF_S_MAX/(d-3)}) drops a
 # tail below 2 e^{-CF_S_MAX} and keeps cosh^{d-1}(s_max) below e^{120} for every
 # d (a fixed s_max = 40 overflows at d >= 20).  Against 110-digit mpmath the CF
-# is off by 6.4e-16 at (d, t) = (4, 1), 2.1e-16 at (5, 2), 2.3e-16 at (20, 1)
-# and 2.3e-16 at (40, 1); 2000 nodes are off by 2.5e-16 at (4, 1), so more
-# nodes gain nothing
-CF_NODES = 600
+# is off by 3.1e-17 at (d, t) = (4, 1), 1.8e-17 at (5, 2), 2.1e-17 at (20, 1)
+# and 1.3e-16 at (40, 1)
+CF_PANELS = 38
 CF_S_MAX = 40.0
 MONOTONE_TOL = 1e-6
 DRAWS_PER_STREAM = 10000
@@ -128,8 +128,8 @@ def limit_cumulant(spec: LimitLawSpec, ell: int, T: float = 0.0) -> float:
     with h = (d-2) ell - (d-1): T = 0 gives the cumulants of the limit law,
     T = spec.T0 those of the tail that sample_limit replaces by a Gaussian.
     """
-    if ell < 1:
-        raise DomainError("cumulant order must be >= 1")
+    if not (isinstance(ell, numbers.Integral) and ell >= 1):
+        raise DomainError(f"the cumulant order must be an integer >= 1, got {ell!r}")
     if not T >= 0.0:
         raise DomainError(f"the cutoff T must be >= 0, got {T}")
     if ell == 1:
@@ -169,31 +169,31 @@ def _compensated_cis(z):
     return -2.0 * np.sin(0.5 * z) ** 2 + 1j * im
 
 
+def log_moment(log_jump, log_weight, k: int) -> float:
+    """log sum jump^k weight over a node set in log space, by math.fsum after a max shift."""
+    terms = k * log_jump + log_weight
+    top = float(np.max(terms))
+    return top + math.log(math.fsum(np.exp(terms - top)))
+
+
 @lru_cache(maxsize=16)
 def _cf_nodes(d: int):
-    """Jump sizes h and weights times cosh^{d-1} on the CF rule for d.
-
-    The CF_NODES-point rule on [-1, 1] is built once, on the first call, and
-    shared by every d; each d only rescales it to [0, s_max].
-    """
-    x, w = gauss_legendre(CF_NODES)
-    half = 0.5 * min(CF_S_MAX, math.acosh(math.exp(CF_S_MAX / (d - 3))))
-    s = half * (x + 1.0)
-    w = half * w
-    h = np.cosh(s) ** (-(d - 2))
-    dens = np.cosh(s) ** (d - 1)
-    return h, w * dens
+    """zeta's node set on the CF rule for d: log jump sizes log h and log(weight cosh^{d-1})."""
+    s_max = min(CF_S_MAX, math.acosh(math.exp(CF_S_MAX / (d - 3))))
+    s, log_w = graded_rule(0.0, s_max, CF_PANELS)
+    log_cosh = logcosh(s)
+    return -(d - 2) * log_cosh, log_w + (d - 1) * log_cosh
 
 
 def log_characteristic_function(spec: LimitLawSpec, t):
     """log E e^{itZ} = rate * int (e^{ith}-1-ith) cosh^{d-1}, vectorized in t.
 
     t is taken CF_BLOCK (16) values at a time, so a call of any size holds
-    at most a few CF_BLOCK x CF_NODES complex matrices, 154 kB each, besides
-    its result; each value is its own row sum, so it does not depend on the
-    other t.
+    at most a few CF_BLOCK x 16 CF_PANELS complex matrices, 156 kB each,
+    besides its result; each value is its own row sum, so it does not depend
+    on the other t.
     """
-    h, wd = _cf_nodes(spec.d)
+    h, wd = map(np.exp, _cf_nodes(spec.d))
     t_arr = np.ravel(np.asarray(t, dtype=np.float64))
     vals = np.empty(t_arr.size, dtype=np.complex128)
     for i in range(0, t_arr.size, CF_BLOCK):

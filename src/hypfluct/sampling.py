@@ -238,6 +238,8 @@ def _cosh_power_quantile(n: int, a: float, b: float, p):
     ends = _unit_extremes(flat)
     lo, _ = _cosh_power_primitive(n, a)
     hi, _ = _cosh_power_primitive(n, b)
+    if not hi - lo < math.inf:
+        raise OverflowError(f"the mass of cosh^{n} on [{a}, {b}] is beyond double range")
     u = _cosh_power_inverse(n, lo + flat * (hi - lo))
     np.maximum(u, a, out=u)
     np.minimum(u, b, out=u)
@@ -249,25 +251,34 @@ def _cosh_power_quantile(n: int, a: float, b: float, p):
 
 
 def inverse_cdf(config: ModelConfig, p):
-    """Quantile function of the normalized s-density on [-R, R]; p is left as it is."""
+    """Quantile function of the normalized s-density on [-R, R]; p is left as it is.
+
+    Exactly R at p = 1; a DomainError where the mass on [-R, R] is beyond double range.
+    """
     p_arr = np.asarray(p, dtype=np.float64)
     flat = p_arr.reshape(-1)
     d, R = config.d, config.R
     geom = config.geometry
-    if geom.is_horospheric:
-        _unit_extremes(flat)
-        a = d - 1
-        lo, hi = math.exp(-a * R), math.exp(a * R)
-        # -log(hi - p (hi - lo)) / a, in place on one array
-        out = flat * (hi - lo)
-        np.subtract(hi, out, out=out)
-        np.log(out, out=out)
-        out /= -a
-    else:
-        # in u = s - Delta the density is cosh^{d-1}(u); the quantile checks p
-        delta = geom.delta
-        out = _cosh_power_quantile(d - 1, -R - delta, R - delta, flat)
-        out += delta
+    try:
+        if geom.is_horospheric:
+            ends = _unit_extremes(flat)
+            a = d - 1
+            lo, hi = math.exp(-a * R), math.exp(a * R)
+            # -log(hi - p (hi - lo)) / a, in place on one array
+            out = flat * (hi - lo)
+            np.subtract(hi, out, out=out)
+            with np.errstate(divide="ignore"):    # log 0 where p (hi - lo) rounds to hi
+                np.log(out, out=out)
+            out /= -a
+            if ends and ends[1] == 1.0:           # hi - (hi - lo) need not round to lo
+                out[flat == 1.0] = R
+        else:
+            # in u = s - Delta the density is cosh^{d-1}(u); the quantile checks p
+            delta = geom.delta
+            out = _cosh_power_quantile(d - 1, -R - delta, R - delta, flat)
+            out += delta
+    except OverflowError:
+        raise DomainError(f"the s-density's mass at R = {R} is beyond double range") from None
     np.clip(out, -R, R, out=out)
     return float(out[0]) if p_arr.ndim == 0 else out.reshape(p_arr.shape)
 

@@ -189,6 +189,9 @@ def test_cumulant_integral_domain():
         cumulant_integral(config, 0)
     with pytest.raises(DomainError):
         cumulant_integral(config, 9)
+    with pytest.raises(DomainError, match="integer"):
+        cumulant_integral(ModelConfig(d=3, lam=0.5, R=4.0), 2.5)
+    assert cumulant_integral(config, np.int64(2)) == cumulant_integral(config, 2)
 
 
 def test_cumulant_integral_small_radius_vanishes():

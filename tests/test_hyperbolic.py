@@ -19,6 +19,7 @@ from hypfluct.hyperbolic import (
     ball_kappa,
     ball_volume,
     gauss_legendre,
+    graded_rule,
     intersection_volume,
     intersection_volume_bound,
     lambda_geometry,
@@ -95,6 +96,23 @@ def test_gauss_legendre_nodes_match_leggauss(n):
     x, w = gauss_legendre(n)
     np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("edge,c,panels", [(-3.0, 0.5, 128), (3.0, 0.5, 64), (0.0, 40.0, 38),
+                                            (2.0, -1e-3, 1)])
+def test_graded_rule_weights_and_grading(edge, c, panels):
+    """The weights sum to |c - edge| and integrate s exactly; the nodes lie
+    in the interval, ordered from edge, and the node next to edge lies far
+    closer to it than the last node to c.  c < edge counts downwards."""
+    s, log_w = graded_rule(edge, c, panels)
+    w = np.exp(log_w)
+    assert s.shape == w.shape == (16 * panels,)
+    assert math.fsum(w) == pytest.approx(abs(c - edge), rel=1e-14)
+    assert math.fsum(s * w) == pytest.approx(abs(c - edge) * 0.5 * (edge + c),
+                                             rel=1e-14, abs=1e-14 * abs(c - edge) ** 2)
+    dist = np.abs(s - edge)
+    assert np.all(np.diff(dist) > 0.0) and dist[-1] < abs(c - edge)
+    assert dist[0] < 0.1 * (abs(c - edge) - dist[-1])
 
 
 def test_gauss_legendre_is_shared_and_read_only():

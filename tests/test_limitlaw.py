@@ -12,7 +12,7 @@ from hypfluct import hyperbolic, kernels, limitlaw, sampling
 from hypfluct.errors import DomainError
 from hypfluct.limitlaw import (
     CF_BLOCK,
-    CF_NODES,
+    CF_PANELS,
     COS_HALF_WIDTH,
     DRAWS_PER_STREAM,
     _compensated_cis,
@@ -22,6 +22,7 @@ from hypfluct.limitlaw import (
     limit_cumulant,
     limit_law_spec,
     log_characteristic_function,
+    log_moment,
     sample_limit,
     zeta_mean_count,
 )
@@ -49,6 +50,8 @@ def test_limit_cumulants_d4_rate1(spec4):
 def test_limit_cumulant_divergence_guard(spec4):
     with pytest.raises(DomainError):
         limit_cumulant(spec4, 0)
+    with pytest.raises(DomainError, match="integer"):
+        limit_cumulant(limit_law_spec(4), 2.5)
     # l = 1 has h = -1 and returns 0 before the divergence guard; d = 5, l = 2 has h = 2
     spec5 = limit_law_spec(5, 0.0, multiplier=0.5)
     assert limit_cumulant(spec5, 2) > 0.0
@@ -260,7 +263,7 @@ def test_compensated_cis_against_mpmath():
 @pytest.mark.parametrize("d, t", [(4, 1.0), (5, 2.0), (20, 1.0), (40, 1.0)])
 def test_cf_against_mpmath(d, t):
     """The CF quadrature rule against 110-digit mpmath, to 1e-14: it is off by
-    at most 6.4e-16 (numpy's leggauss nodes left 7.5e-14 at (4, 1)).
+    at most 1.3e-16 (numpy's leggauss nodes left 7.5e-14 at (4, 1)).
 
     e^{ix} - 1 - ix cancels down to x ~ 1e-35 at s = 40, so the oracle needs
     about 100 digits; at 30 it is itself off by ~1e-10.
@@ -294,7 +297,7 @@ def test_cf_blocks_match_pointwise(spec4):
 
 
 def test_cf_peak_memory_is_bounded():
-    """The 401-point CF of `hypfluct limit` holds a few CF_BLOCK x CF_NODES
+    """The 401-point CF of `hypfluct limit` holds a few CF_BLOCK x 16 CF_PANELS
     complex matrices at a time, 0.6 MB each: its peak stays below 4 MB."""
     spec = limit_law_spec(5, 0.3)
     t = np.linspace(0.0, 20.0, 401)
@@ -319,9 +322,19 @@ def test_cf_nodes_call_no_linear_algebra(monkeypatch):
             monkeypatch.setattr(np.linalg, name, refuse)
     hyperbolic.gauss_legendre.cache_clear()
     limitlaw._cf_nodes.cache_clear()
-    h, wd = limitlaw._cf_nodes(4)
-    assert h.shape == wd.shape == (CF_NODES,)
-    assert np.all(np.isfinite(wd)) and np.all(wd > 0.0)
+    log_h, log_wd = limitlaw._cf_nodes(4)
+    assert log_h.shape == log_wd.shape == (16 * CF_PANELS,)
+    assert np.all(np.isfinite(log_wd)) and np.all(log_h <= 0.0)
+
+
+@pytest.mark.parametrize("d", [4, 5, 8, 12, 20, 40])
+def test_cf_nodes_reproduce_the_closed_form_cumulants(d):
+    """zeta's node set, summed by the moment rule's log_moment, gives the
+    incomplete-beta cumulants of limit_cumulant (measured: within 2e-14)."""
+    spec = limit_law_spec(d)
+    for k in (2, 3, 4):
+        quadrature = spec.rate * math.exp(log_moment(*limitlaw._cf_nodes(d), k))
+        assert quadrature == pytest.approx(limit_cumulant(spec, k), rel=1e-12)
 
 
 def test_cf_keeps_the_shape_of_t(spec4):
@@ -435,7 +448,8 @@ def test_cli_grids_resident_growth_is_bounded():
     """The CDF (801 points) and CF (401 points) grids of `hypfluct limit` at
     (4, 0) and (5, 0.3): a child computing both grows its peak RSS (VmHWM
     after minus VmRSS before) by 1.0 MB; leggauss's eigen-solve and the
-    whole sine matrix grew it by 7.0 MB.  The CF rule is not built at import."""
+    whole sine matrix grew it by 7.0 MB.  No rule is built at import: the
+    moment rule builds its nodes per call, and the CF's on first use."""
     code = ("import math\n"
             "import numpy as np\n"
             "import hypfluct.cli\n"
@@ -454,7 +468,7 @@ def test_cli_grids_resident_growth_is_bounded():
             "    limitlaw.characteristic_function(spec, np.linspace(0.0, 20.0, 401))\n"
             "print(status('VmHWM') - before)\n")
     cf_rules, gauss_rules, growth_kb = map(int, _run_in_child(code).split())
-    assert cf_rules == 0 and gauss_rules == 1  # the moment rule's 16 points only
+    assert cf_rules == 0 and gauss_rules == 0
     assert growth_kb / 1024.0 < 3.0  # both fields are in kB
 
 

@@ -114,6 +114,29 @@ def test_inverse_cdf_rejects_bad_quantiles():
         inverse_cdf(config, np.array([0.2, -0.1]))
 
 
+@pytest.mark.parametrize("d,lam,R", [(2, 1.0, 10.0), (2, 1.0, 19.0), (6, 1.0, 100.0),
+                                     (2, 0.0, 10.0), (3, 0.5, 19.0)])
+def test_inverse_cdf_is_exactly_R_at_one(d, lam, R):
+    """p = 1 gives R exactly on every branch; on the horosphere branch
+    hi - (hi - lo) rounds to 0 from R = 19 at d = 2, which took a log of 0."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    assert inverse_cdf(config, 1.0) == R
+    s = inverse_cdf(config, np.array([0.0, 0.5, 1.0, 1.0]))
+    assert s[0] == pytest.approx(-R, abs=1e-12 * R) and -R < s[1] < R
+    np.testing.assert_array_equal(s[2:], [R, R])
+
+
+@pytest.mark.parametrize("d,lam,R", [(3, 1.0, 400.0), (3, 0.5, 800.0), (2, 0.0, 800.0),
+                                     (6, 0.0, 200.0)])
+def test_inverse_cdf_refuses_a_mass_beyond_double_range(d, lam, R):
+    """Where mean_count is inf, math.sinh or math.exp overflowed, or K_n was inf
+    and the quantile NaN; a DomainError names R instead."""
+    config = ModelConfig(d=d, lam=lam, R=R)
+    assert mean_count(config) == math.inf
+    with pytest.raises(DomainError, match=f"R = {R}"):
+        inverse_cdf(config, np.array([0.0, 0.5, 1.0]))
+
+
 @pytest.mark.parametrize("d,lam", [(2, 0.5), (3, 0.5), (2, 1.0)])
 def test_inverse_cdf_rejects_nan(d, lam):
     """Each quantile path (arcsinh, Halley, horosphere) names the bad input."""
